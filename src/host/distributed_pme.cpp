@@ -84,8 +84,8 @@ DistributedPmeRank::DistributedPmeRank(const PmeParameters& params,
   pack_buf_.resize(s * s * k);
 }
 
-void DistributedPmeRank::spread(const std::vector<Vec3>& positions,
-                                const std::vector<double>& charges) {
+void DistributedPmeRank::spread(std::span<const Vec3> positions,
+                                std::span<const double> charges) {
   const int k = layout_.grid;
   const int p = params_.order;
   spline_.resize(positions.size());
@@ -283,8 +283,8 @@ void DistributedPmeRank::exchange_ghost_phi() {
   }
 }
 
-double DistributedPmeRank::gather(const std::vector<Vec3>& positions,
-                                  const std::vector<double>& charges,
+double DistributedPmeRank::gather(std::span<const Vec3> positions,
+                                  std::span<const double> charges,
                                   double energy_partial,
                                   std::vector<Vec3>& forces) {
   const int k = layout_.grid;
@@ -329,8 +329,8 @@ double DistributedPmeRank::gather(const std::vector<Vec3>& positions,
   return energy;
 }
 
-double DistributedPmeRank::step(const std::vector<Vec3>& positions,
-                                const std::vector<double>& charges,
+double DistributedPmeRank::step(std::span<const Vec3> positions,
+                                std::span<const double> charges,
                                 std::vector<Vec3>& forces) {
   if (positions.size() != charges.size())
     throw std::invalid_argument("distributed PME: positions/charges mismatch");

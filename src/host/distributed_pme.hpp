@@ -17,6 +17,7 @@
 /// floating-point summation order (~1e-13 relative), so parity against the
 /// serial solver is asserted at an RMS tolerance, not bit equality.
 
+#include <span>
 #include <vector>
 
 #include "ewald/pme.hpp"
@@ -82,8 +83,8 @@ class DistributedPmeRank {
   /// mean-force-corrected over the GLOBAL particle count exactly like the
   /// serial solver. Returns the total reciprocal energy (identical on
   /// every rank). Collective over the wavenumber group.
-  double step(const std::vector<Vec3>& positions,
-              const std::vector<double>& charges, std::vector<Vec3>& forces);
+  double step(std::span<const Vec3> positions,
+              std::span<const double> charges, std::vector<Vec3>& forces);
 
   const PmeSlabLayout& layout() const { return layout_; }
 
@@ -96,8 +97,8 @@ class DistributedPmeRank {
     return l;
   }
 
-  void spread(const std::vector<Vec3>& positions,
-              const std::vector<double>& charges);
+  void spread(std::span<const Vec3> positions,
+              std::span<const double> charges);
   void exchange_ghost_spread();
   /// Per-plane 2D FFT of the owned slab (x lines then y lines, mirroring
   /// Grid3D::transform's axis order within a plane). Forward transform.
@@ -108,8 +109,8 @@ class DistributedPmeRank {
   /// rank's partial of sum theta |A|^2.
   double convolve();
   void exchange_ghost_phi();
-  double gather(const std::vector<Vec3>& positions,
-                const std::vector<double>& charges, double energy_partial,
+  double gather(std::span<const Vec3> positions,
+                std::span<const double> charges, double energy_partial,
                 std::vector<Vec3>& forces);
 
   PmeParameters params_;

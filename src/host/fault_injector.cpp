@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/flight_recorder.hpp"
+
 namespace mdm::vmpi {
 namespace {
 
@@ -145,6 +147,14 @@ bool FaultInjector::should_fail_rank(int rank, int step) {
     if (rule_fires(rule)) return true;
   }
   return false;
+}
+
+void FaultInjector::fail_rank_if_due(int rank, int step) {
+  if (!should_fail_rank(rank, step)) return;
+  obs::FlightRecorder::record(obs::FlightKind::kRankFail, "injected", step,
+                              rank);
+  throw std::runtime_error("injected fault: rank " + std::to_string(rank) +
+                           " failed at step " + std::to_string(step));
 }
 
 int FaultInjector::board_to_fail(int rank, int step) {

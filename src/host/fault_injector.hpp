@@ -87,6 +87,9 @@ class FaultInjector {
 
   /// Host hooks, polled once per (rank, step).
   bool should_fail_rank(int rank, int step);
+  /// Throws when a rank-failure rule fires, exactly like a crashed MPI
+  /// process (recorded in the flight recorder); vmpi propagates it.
+  void fail_rank_if_due(int rank, int step);
   /// Board within `rank`'s cluster that permanently fails at `step`;
   /// -1 when none.
   int board_to_fail(int rank, int step);

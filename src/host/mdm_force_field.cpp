@@ -4,7 +4,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "mdgrape2/gtables.hpp"
 #include "obs/step_breakdown.hpp"
 #include "obs/trace.hpp"
 #include "util/units.hpp"
@@ -33,38 +32,24 @@ MdmForceField::MdmForceField(MdmForceFieldConfig config, double box)
   wine_.load_waves(kvectors_);
 }
 
-void MdmForceField::build_passes(const ParticleSystem& system) {
-  const double beta = config_.ewald.alpha / box_;
-  std::vector<double> charges(system.species_count());
-  for (int t = 0; t < system.species_count(); ++t)
-    charges[t] = system.species(t).charge;
-
-  coulomb_force_pass_ = mdgrape2::make_coulomb_real_pass(
-      beta, config_.ewald.r_cut, charges);
-  coulomb_potential_pass_ = mdgrape2::make_coulomb_real_potential_pass(
-      beta, config_.ewald.r_cut, charges);
-  if (config_.include_tosi_fumi) {
-    tf_force_passes_ =
-        mdgrape2::make_tosi_fumi_passes(config_.tosi_fumi,
-                                        config_.ewald.r_cut);
-    tf_potential_passes_ = mdgrape2::make_tosi_fumi_potential_passes(
-        config_.tosi_fumi, config_.ewald.r_cut);
-  }
-  passes_built_ = true;
-}
-
 ForceResult MdmForceField::add_forces(const ParticleSystem& system,
                                       std::span<Vec3> forces) {
   if (forces.size() != system.size())
     throw std::invalid_argument("MdmForceField: force array size mismatch");
   if (std::fabs(system.box() - box_) > 1e-12)
     throw std::invalid_argument("MdmForceField: box mismatch");
-  if (!passes_built_) build_passes(system);
+  if (passes_.force.empty()) {
+    std::vector<double> charges(system.species_count());
+    for (int t = 0; t < system.species_count(); ++t)
+      charges[t] = system.species(t).charge;
+    passes_ = mdgrape2::make_real_space_passes(
+        config_.ewald.alpha / box_, config_.ewald.r_cut, charges,
+        config_.include_tosi_fumi, config_.tosi_fumi);
+  }
 
   // 1. Host -> MDGRAPE-2: upload particle image, run the force passes.
   mdgrape_.load_particles(system, config_.ewald.r_cut);
-  mdgrape_.run_force_pass(coulomb_force_pass_, forces);
-  for (const auto& pass : tf_force_passes_)
+  for (const auto& pass : passes_.force)
     mdgrape_.run_force_pass(pass, forces);
 
   // 2. Host -> WINE-2: DFT then IDFT (eqs. 9-11).
@@ -86,7 +71,8 @@ ForceResult MdmForceField::add_forces(const ParticleSystem& system,
   ++evaluations_;
   if (sample_potential) {
     per_particle_scratch_.assign(system.size(), 0.0);
-    mdgrape_.run_potential_pass(coulomb_potential_pass_, per_particle_scratch_);
+    mdgrape_.run_potential_pass(passes_.potential[0],
+                                per_particle_scratch_);
     double real = 0.0;
     for (const double p : per_particle_scratch_) real += p;
     potential_.real_space = 0.5 * real;  // both-sides double counting
@@ -94,8 +80,9 @@ ForceResult MdmForceField::add_forces(const ParticleSystem& system,
     potential_.short_range = 0.0;
     if (config_.include_tosi_fumi) {
       short_range_scratch_.assign(system.size(), 0.0);
-      for (const auto& pass : tf_potential_passes_)
-        mdgrape_.run_potential_pass(pass, short_range_scratch_);
+      for (std::size_t k = 1; k < passes_.potential.size(); ++k)
+        mdgrape_.run_potential_pass(passes_.potential[k],
+                                    short_range_scratch_);
       double total = 0.0;
       for (const double p : short_range_scratch_) total += p;
       potential_.short_range = 0.5 * total;

@@ -20,6 +20,7 @@
 #include "core/tosi_fumi.hpp"
 #include "ewald/ewald.hpp"
 #include "ewald/parameters.hpp"
+#include "mdgrape2/gtables.hpp"
 #include "mdgrape2/system.hpp"
 #include "wine2/system.hpp"
 
@@ -81,19 +82,15 @@ class MdmForceField final : public ForceField {
   }
 
  private:
-  void build_passes(const ParticleSystem& system);
-
   MdmForceFieldConfig config_;
   double box_;
   KVectorTable kvectors_;
   mdgrape2::Mdgrape2System mdgrape_;
   wine2::Wine2System wine_;
 
-  bool passes_built_ = false;
-  mdgrape2::ForcePass coulomb_force_pass_;
-  mdgrape2::ForcePass coulomb_potential_pass_;
-  std::vector<mdgrape2::ForcePass> tf_force_passes_;
-  std::vector<mdgrape2::ForcePass> tf_potential_passes_;
+  /// Built on the first evaluation: the Coulomb pass first, then the
+  /// Tosi-Fumi passes (make_real_space_passes).
+  mdgrape2::RealSpacePasses passes_;
 
   std::uint64_t evaluations_ = 0;
   PotentialBreakdown potential_;

@@ -1,22 +1,19 @@
 #include "host/parallel_app.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
-#include "core/health.hpp"
 #include "host/distributed_pme.hpp"
 #include "host/fault_injector.hpp"
 #include "host/vmpi.hpp"
 #include "host/wine2_mpi.hpp"
 #include "mdgrape2/gtables.hpp"
-#include "native/kspace.hpp"
-#include "native/real_kernel.hpp"
-#include "native/soa.hpp"
+#include "native/native_force_field.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/logger.hpp"
 #include "obs/metrics.hpp"
@@ -37,9 +34,6 @@ enum Tag : int {
   kFromWine = 400,
   kWineEnergy = 450,
   kMigrate = 500,
-  kGatherFinal = 600,
-  kCkptGather = 700,
-  kCkptAck = 701,
 };
 
 /// One particle as it travels between processes.
@@ -52,19 +46,13 @@ struct PRec {
 };
 static_assert(std::is_trivially_copyable_v<PRec>);
 
-/// Compact record shipped to the wavenumber processes.
+/// Compact record shipped to the wavenumber processes. A wavenumber rank
+/// returns one force per record, in the order it received them.
 struct WnRec {
-  std::uint32_t id = 0;
   std::int32_t type = 0;
   Vec3 pos{};
 };
 static_assert(std::is_trivially_copyable_v<WnRec>);
-
-struct IdForce {
-  std::uint32_t id = 0;
-  Vec3 force{};
-};
-static_assert(std::is_trivially_copyable_v<IdForce>);
 
 /// Immutable data shared by all ranks (read-only after construction).
 struct Shared {
@@ -72,6 +60,8 @@ struct Shared {
   double box = 0.0;
   std::size_t n_particles = 0;
   std::vector<Species> species;
+  std::vector<double> charge_of_type;  ///< species charges, e
+  std::vector<int> real_ranks, wn_ranks;  ///< world ranks of each group
   std::vector<PRec> initial;  // full initial state
   double self_energy = 0.0;
   double background_energy = 0.0;
@@ -83,19 +73,7 @@ struct Shared {
   // so the mutation is race-free.
   int start_step = 0;                      ///< resume after this step
   CheckpointManager* checkpoint = nullptr; ///< not owned; may be null
-  int checkpoint_interval = 0;             ///< steps between checkpoints
 };
-
-/// Injected rank failure: the rank throws at its fault step, exactly like a
-/// crashed MPI process; vmpi propagates it to every peer.
-void maybe_fail_rank(const Shared& shared, int rank, int step) {
-  if (shared.injector && shared.injector->should_fail_rank(rank, step)) {
-    obs::FlightRecorder::record(obs::FlightKind::kRankFail, "injected", step,
-                                rank);
-    throw std::runtime_error("injected fault: rank " + std::to_string(rank) +
-                             " failed at step " + std::to_string(step));
-  }
-}
 
 /// Cooperative cancel, polled by every real rank at each step boundary. The
 /// first rank to observe the flag unwinds (poisoning the fabric wakes any
@@ -108,10 +86,6 @@ void maybe_cancel(const Shared& shared, int rank, int step) {
     throw ParallelCancelled("parallel app cancelled at step " +
                             std::to_string(step));
   }
-}
-
-double charge_of(const Shared& shared, int type) {
-  return shared.species[type].charge;
 }
 
 double ms_since(std::uint64_t start_ns) {
@@ -137,216 +111,309 @@ void dump_flight(const ParallelAppConfig& config, const char* reason) {
   }
 }
 
-/// ---------------- wavenumber process ------------------------------------
+/// ---------------- rank engines ------------------------------------------
+/// Each rank role of sec. 4 runs one loop; what differs between backends and
+/// k-space solvers sits behind these two engines, picked by make_engines.
 
-/// Native-backend wavenumber process (DESIGN.md §11): the same rank topology
-/// and message flow as the WINE-2 path, but the structure factors come from
-/// the vectorized NativeKspace DFT on the local particle slice and are
-/// summed across the wavenumber group with an explicit allreduce (the WINE-2
-/// MPI library does the equivalent reduction internally).
-void wavenumber_main_native(const Shared& shared, vmpi::Communicator& comm) {
-  const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
+class RealEngine {
+ public:
+  virtual ~RealEngine() = default;
+  /// Assigns forces[0, n_owned) for the owned particles, listed first in
+  /// `positions` before the halo (`forces` is sized like `positions`, its
+  /// tail is scratch). Returns the owned particles' potential; pair
+  /// energies are halved, as every pair is seen from both sides.
+  virtual double compute(std::span<const Vec3> positions,
+                         std::span<const int> types, std::size_t n_owned,
+                         std::span<Vec3> forces) = 0;
+  /// Injected loss of one board; engines without boards ignore it.
+  virtual void fail_board(int /*board*/, int /*rank*/, int /*step*/) {}
+};
 
-  const KVectorTable kvectors(shared.box, shared.config.ewald.alpha,
-                              shared.config.ewald.lk_cut);
-  native::NativeKspace kspace(kvectors);
-  std::vector<double> charge_of_type(shared.species.size());
-  for (std::size_t t = 0; t < shared.species.size(); ++t)
-    charge_of_type[t] = shared.species[t].charge;
+/// Emulator: the MDGRAPE-2 force and potential passes (sec. 3.5). The
+/// engine owns the rank's boards, so it also takes their failures.
+class MdgrapeRealEngine final : public RealEngine {
+ public:
+  explicit MdgrapeRealEngine(const Shared& shared)
+      : shared_(shared),
+        mdgrape_({.clusters = shared.config.mdgrape_boards_per_process,
+                  .boards_per_cluster = 1}),
+        passes_(mdgrape2::make_real_space_passes(
+            shared.config.ewald.alpha / shared.box, shared.config.ewald.r_cut,
+            shared.charge_of_type, shared.config.include_tosi_fumi,
+            shared.config.tosi_fumi)) {}
 
-  // Structure-factor allreduce tags: above the WINE-2 library's 7001+ range.
-  constexpr int kSfSinTag = 7101;
-  constexpr int kSfCosTag = 7103;
-
-  native::SoaParticles soa;
-  StructureFactors sf;
-  std::vector<Vec3> positions;
-  std::vector<int> types;
-
-  for (int round = shared.start_step; round <= shared.total_steps; ++round) {
-    obs::TraceSpan round_span("wn.round");
-    maybe_fail_rank(shared, comm.rank(), round);
-    std::vector<WnRec> local;
-    std::vector<int> owner;
-    {
-      obs::ScopedPhase comm_phase(obs::Phase::kComm);
-      MDM_TRACE_SCOPE("parallel.wn_recv");
-      for (int r = 0; r < R; ++r) {
-        const auto batch = comm.recv<WnRec>(r, kToWine);
-        for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
-        }
-      }
+  double compute(std::span<const Vec3> positions, std::span<const int> types,
+                 std::size_t n_owned, std::span<Vec3> forces) override {
+    ParticleSystem local(shared_.box);
+    for (const auto& s : shared_.species) local.add_species(s);
+    for (std::size_t i = 0; i < positions.size(); ++i)
+      local.add_particle(types[i], positions[i]);
+    std::fill(forces.begin(), forces.end(), Vec3{});
+    pot_.assign(local.size(), 0.0);
+    if (local.size() > 0) {
+      mdgrape_.load_particles(local, shared_.config.ewald.r_cut);
+      for (const auto& pass : passes_.force)
+        mdgrape_.run_force_pass(pass, forces);
+      for (const auto& pass : passes_.potential)
+        mdgrape_.run_potential_pass(pass, pot_);
     }
+    double potential = 0.0;
+    for (std::size_t i = 0; i < n_owned; ++i) potential += 0.5 * pot_[i];
+    return potential;
+  }
 
-    positions.resize(local.size());
-    types.resize(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      types[i] = local[i].type;
-    }
-    soa.sync(shared.box, positions, types, charge_of_type);
+  void fail_board(int board, int rank, int step) override {
+    if (board >= mdgrape_.board_count() || mdgrape_.board_failed(board))
+      return;
+    MDM_LOG_WARN(
+        "parallel: rank %d loses MDGRAPE-2 board %d at step %d; degrading "
+        "to %d boards",
+        rank, board, step, mdgrape_.alive_board_count() - 1);
+    mdgrape_.fail_board(board);
+    static obs::Counter& failures =
+        obs::Registry::global().counter("parallel.board_failures");
+    failures.add(1);
+  }
 
-    kspace.dft(soa, sf);
+ private:
+  const Shared& shared_;
+  mdgrape2::Mdgrape2System mdgrape_;
+  mdgrape2::RealSpacePasses passes_;
+  std::vector<double> pot_;
+};
+
+/// Native (DESIGN.md §11): one fused one-sided sweep over owned + halo
+/// gives forces and potential.
+class NativeRealEngine final : public RealEngine {
+ public:
+  explicit NativeRealEngine(const Shared& shared)
+      : shared_(shared),
+        kernel_(native::real_kernel_config(
+            {.ewald = shared.config.ewald,
+             .include_tosi_fumi = shared.config.include_tosi_fumi,
+             .tosi_fumi = shared.config.tosi_fumi},
+            shared.box)) {}
+
+  double compute(std::span<const Vec3> positions, std::span<const int> types,
+                 std::size_t n_owned, std::span<Vec3> forces) override {
+    soa_.sync(shared_.box, positions, types, shared_.charge_of_type);
+    std::fill(forces.begin(), forces.end(), Vec3{});
+    if (soa_.size() == 0) return 0.0;
+    return 0.5 * kernel_.one_sided(soa_, n_owned, forces).potential;
+  }
+
+ private:
+  const Shared& shared_;
+  native::NativeRealKernel kernel_;
+  native::SoaParticles soa_;
+};
+
+class KspaceEngine {
+ public:
+  virtual ~KspaceEngine() = default;
+  /// Collective over the wavenumber group: reciprocal forces on this rank's
+  /// particles (`forces` resized to match) and the global reciprocal energy.
+  virtual double compute(std::span<const Vec3> positions,
+                         std::span<const int> types,
+                         std::vector<Vec3>& forces) = 0;
+};
+
+/// Emulator structure factors: the MPI-parallel WINE-2 library of Table 2,
+/// which allreduces the structure factors internally.
+class Wine2Kspace final : public KspaceEngine {
+ public:
+  Wine2Kspace(const Shared& shared, const vmpi::Communicator& wn_comm)
+      : shared_(shared),
+        wn_comm_(wn_comm),
+        kvectors_(shared.box, shared.config.ewald.alpha,
+                  shared.config.ewald.lk_cut) {
+    lib_.wine2_set_MPI_community(&wn_comm_);
+    lib_.wine2_allocate_board(shared.config.wine_boards_per_process);
+    lib_.wine2_initialize_board();
+  }
+  Wine2Kspace(const Wine2Kspace&) = delete;  // lib_ points at wn_comm_
+  Wine2Kspace& operator=(const Wine2Kspace&) = delete;
+
+  double compute(std::span<const Vec3> positions, std::span<const int> types,
+                 std::vector<Vec3>& forces) override {
+    charges_.resize(types.size());
+    for (std::size_t i = 0; i < types.size(); ++i)
+      charges_[i] = shared_.charge_of_type[types[i]];
+    forces.assign(positions.size(), Vec3{});
+    return lib_.calculate_force_and_pot_wavepart_nooffset(
+        positions, charges_, shared_.box, kvectors_, forces);
+  }
+
+ private:
+  const Shared& shared_;
+  vmpi::Communicator wn_comm_;  ///< the library keeps a pointer to it
+  KVectorTable kvectors_;
+  Wine2MpiLibrary lib_;
+  std::vector<double> charges_;
+};
+
+/// Native structure factors (DESIGN.md §11): the vectorized NativeKspace
+/// DFT on the local slice, an explicit allreduce over the wavenumber group
+/// (the WINE-2 library's internal reduction), then the IDFT.
+class NativeSfKspace final : public KspaceEngine {
+ public:
+  NativeSfKspace(const Shared& shared, const vmpi::Communicator& wn_comm)
+      : shared_(shared),
+        wn_comm_(wn_comm),
+        kspace_(KVectorTable(shared.box, shared.config.ewald.alpha,
+                             shared.config.ewald.lk_cut)) {}
+
+  double compute(std::span<const Vec3> positions, std::span<const int> types,
+                 std::vector<Vec3>& forces) override {
+    soa_.sync(shared_.box, positions, types, shared_.charge_of_type);
+    kspace_.dft(soa_, sf_);
     {
       obs::ScopedPhase comm_phase(obs::Phase::kComm);
       MDM_TRACE_SCOPE("parallel.sf_allreduce");
-      wn_comm.allreduce_sum(sf.s, kSfSinTag);
-      wn_comm.allreduce_sum(sf.c, kSfCosTag);
+      // Tags above the WINE-2 library's 7001+.
+      wn_comm_.allreduce_sum(sf_.s, 7101);
+      wn_comm_.allreduce_sum(sf_.c, 7103);
     }
-
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    kspace.idft(soa, sf, forces);
-
-    obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, kspace.energy_virial(sf).potential);
+    forces.assign(positions.size(), Vec3{});
+    kspace_.idft(soa_, sf_, forces);
+    return kspace_.energy_virial(sf_).potential;
   }
+
+ private:
+  const Shared& shared_;
+  vmpi::Communicator wn_comm_;
+  native::NativeKspace kspace_;
+  native::SoaParticles soa_;
+  StructureFactors sf_;
+};
+
+/// Distributed PME (DESIGN.md §12): the slab-decomposed mesh engine.
+class PmeKspace final : public KspaceEngine {
+ public:
+  PmeKspace(const Shared& shared, const vmpi::Communicator& wn_comm)
+      : shared_(shared),
+        pme_(validated_pme(resolved_pme(shared.config), shared.box),
+             shared.box, wn_comm) {}
+
+  double compute(std::span<const Vec3> positions, std::span<const int> types,
+                 std::vector<Vec3>& forces) override {
+    charges_.resize(types.size());
+    for (std::size_t i = 0; i < types.size(); ++i)
+      charges_[i] = shared_.charge_of_type[types[i]];
+    return pme_.step(positions, charges_, forces);
+  }
+
+ private:
+  const Shared& shared_;
+  DistributedPmeRank pme_;
+  std::vector<double> charges_;
+};
+
+/// Wavenumber rank of a particle, from its global id and position.
+using WnRoute = std::function<int(std::uint32_t id, const Vec3& pos)>;
+
+struct RankEngines {
+  std::unique_ptr<RealEngine> real;      ///< real ranks only
+  WnRoute route;                         ///< real ranks only
+  std::unique_ptr<KspaceEngine> kspace;  ///< wavenumber ranks only
+};
+
+/// The one place `backend` and `kspace_solver` are read. A real rank gets
+/// its real-space engine and the routing (by id for the structure-factor
+/// solvers, by mesh plane for PME); a wavenumber rank its k-space engine
+/// over the wavenumber subgroup.
+RankEngines make_engines(const Shared& shared,
+                         const vmpi::Communicator& comm) {
+  const ParallelAppConfig& config = shared.config;
+  const bool native = config.backend == Backend::kNative;
+  const bool pme = config.kspace_solver == KspaceSolver::kPme;
+  RankEngines engines;
+  if (comm.rank() < config.real_processes) {
+    if (native)
+      engines.real = std::make_unique<NativeRealEngine>(shared);
+    else
+      engines.real = std::make_unique<MdgrapeRealEngine>(shared);
+    if (pme) {
+      // The owner of the base spreading plane, found as the spline kernel
+      // finds it, so routing and spreading cannot disagree.
+      const PmeParameters p = resolved_pme(config);
+      engines.route = [layout = PmeSlabLayout::create(p.grid, p.order,
+                                                      config.wn_processes),
+                       box = shared.box](std::uint32_t, const Vec3& pos) {
+        return layout.route(pos.z, box);
+      };
+    } else {
+      engines.route = [w = static_cast<std::uint32_t>(config.wn_processes)](
+                          std::uint32_t id, const Vec3&) {
+        return static_cast<int>(id % w);
+      };
+    }
+    return engines;
+  }
+  const vmpi::Communicator wn_comm = comm.subgroup(shared.wn_ranks);
+  if (pme)
+    engines.kspace = std::make_unique<PmeKspace>(shared, wn_comm);
+  else if (native)
+    engines.kspace = std::make_unique<NativeSfKspace>(shared, wn_comm);
+  else
+    engines.kspace = std::make_unique<Wine2Kspace>(shared, wn_comm);
+  return engines;
 }
 
-/// Distributed-PME wavenumber process (DESIGN.md §12): same rank topology
-/// and message flow as the structure-factor paths, but the reciprocal sum
-/// runs on the slab-decomposed mesh engine. Real ranks route each particle
-/// to the owner of its base spreading plane (PmeSlabLayout::route), not by
-/// id, so every rank spreads only onto its own slab plus its ghost planes.
-void wavenumber_main_pme(const Shared& shared, vmpi::Communicator& comm) {
+/// ---------------- wavenumber process ------------------------------------
+
+/// One round per force evaluation (round k serves step k, from the resume or
+/// initial priming pass on): receive one possibly empty batch from every
+/// real rank, run the k-space engine, return each batch's forces in order.
+void wavenumber_main(const Shared& shared, vmpi::Communicator& comm,
+                     KspaceEngine& kspace) {
   const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
-
-  const PmeParameters pme =
-      validated_pme(resolved_pme(shared.config), shared.box);
-  DistributedPmeRank engine(pme, shared.box, wn_comm);
-
+  std::vector<std::size_t> offset(R + 1, 0);  // r's batch: offset[r, r+1)
   std::vector<Vec3> positions;
-  std::vector<double> charges;
+  std::vector<int> types;
   std::vector<Vec3> forces;
-
-  for (int round = shared.start_step; round <= shared.total_steps; ++round) {
-    obs::TraceSpan round_span("wn.round");
-    std::vector<WnRec> local;
-    std::vector<int> owner;
-    {
-      obs::ScopedPhase comm_phase(obs::Phase::kComm);
-      MDM_TRACE_SCOPE("parallel.wn_recv");
-      for (int r = 0; r < R; ++r) {
-        const auto batch = comm.recv<WnRec>(r, kToWine);
-        for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
-        }
-      }
-    }
-    // Fault poll after the recv, not at the top of the round: an injected
-    // death here models a k-space rank dying mid-FFT — its peers are
-    // already inside the collective mesh transform and surface
-    // PeerFailedError from the transpose/ghost-plane exchanges.
-    maybe_fail_rank(shared, comm.rank(), round);
-
-    positions.resize(local.size());
-    charges.resize(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      charges[i] = charge_of(shared, local[i].type);
-    }
-    const double energy = engine.step(positions, charges, forces);
-
-    obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, energy);
-  }
-}
-
-void wavenumber_main(const Shared& shared, vmpi::Communicator& comm) {
-  if (shared.config.kspace_solver == KspaceSolver::kPme)
-    return wavenumber_main_pme(shared, comm);
-  if (shared.config.backend == Backend::kNative)
-    return wavenumber_main_native(shared, comm);
-  const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
-
-  Wine2MpiLibrary lib;
-  lib.wine2_set_MPI_community(&wn_comm);
-  lib.wine2_allocate_board(shared.config.wine_boards_per_process);
-  lib.wine2_initialize_board(shared.config.wine_formats);
-
-  const KVectorTable kvectors(shared.box, shared.config.ewald.alpha,
-                              shared.config.ewald.lk_cut);
-
-  // One round per force evaluation: the resume (or initial) priming pass
-  // plus one per remaining step. Round k serves the force evaluation of
-  // step k.
+  std::vector<Vec3> outgoing;
   for (int round = shared.start_step; round <= shared.total_steps; ++round) {
     // Coarse per-rank span (always compiled, unlike MDM_TRACE_SCOPE): the
     // merged job trace shows every rank's round cadence in Release too.
     obs::TraceSpan round_span("wn.round");
-    maybe_fail_rank(shared, comm.rank(), round);
-    // One (possibly empty) batch from every real rank.
-    std::vector<WnRec> local;
-    std::vector<int> owner;  // real rank per local particle
+    positions.clear();
+    types.clear();
     {
       obs::ScopedPhase comm_phase(obs::Phase::kComm);
       MDM_TRACE_SCOPE("parallel.wn_recv");
       for (int r = 0; r < R; ++r) {
         const auto batch = comm.recv<WnRec>(r, kToWine);
+        offset[r + 1] = offset[r] + batch.size();
         for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
+          positions.push_back(rec.pos);
+          types.push_back(rec.type);
         }
       }
     }
+    // Fault poll after the recv: an injected death models a k-space rank
+    // dying mid-compute, while its peers are inside the collective reduction
+    // or mesh transform and surface PeerFailedError from it.
+    if (shared.injector) shared.injector->fail_rank_if_due(comm.rank(), round);
 
-    std::vector<Vec3> positions(local.size());
-    std::vector<double> charges(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      charges[i] = charge_of(shared, local[i].type);
-    }
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    const double energy = lib.calculate_force_and_pot_wavepart_nooffset(
-        positions, charges, shared.box, kvectors, forces);
+    const double energy = kspace.compute(positions, types, forces);
 
-    // Return forces to the owning real ranks.
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
     MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, energy);
+    for (int r = 0; r < R; ++r) {
+      outgoing.assign(forces.data() + offset[r], forces.data() + offset[r + 1]);
+      comm.send(r, kFromWine, outgoing);
+    }
+    if (comm.rank() == R) comm.send_value(0, kWineEnergy, energy);
   }
-  lib.wine2_free_board();
 }
 
 /// ---------------- real-space process -------------------------------------
 
 class RealProcess {
  public:
-  RealProcess(const Shared& shared, vmpi::Communicator& comm)
+  RealProcess(const Shared& shared, vmpi::Communicator& comm,
+              RankEngines engines)
       : shared_(shared),
         comm_(comm),
         grid_(shared.config.domain_nx > 0
@@ -355,42 +422,12 @@ class RealProcess {
                                shared.config.domain_nz, shared.box)
                   : DomainGrid::for_processes(shared.config.real_processes,
                                               shared.box)),
-        mdgrape_({.clusters = shared.config.mdgrape_boards_per_process,
-                  .boards_per_cluster = 1}) {
-    if (shared_.config.kspace_solver == KspaceSolver::kPme) {
-      const PmeParameters pme = resolved_pme(shared_.config);
-      pme_layout_ = PmeSlabLayout::create(pme.grid, pme.order,
-                                          shared_.config.wn_processes);
-      use_pme_ = true;
-    }
-    std::vector<double> charges(shared_.species.size());
-    for (std::size_t t = 0; t < shared_.species.size(); ++t)
-      charges[t] = shared_.species[t].charge;
-    species_charge_ = charges;
-    const double beta = shared_.config.ewald.alpha / shared_.box;
-    if (shared_.config.backend == Backend::kNative) {
-      native::NativeRealKernel::Config rc;
-      rc.box = shared_.box;
-      rc.beta = beta;
-      rc.r_cut = shared_.config.ewald.r_cut;
-      rc.include_tosi_fumi = shared_.config.include_tosi_fumi;
-      rc.tosi_fumi = shared_.config.tosi_fumi;
-      native_kernel_ = std::make_unique<native::NativeRealKernel>(rc);
-      return;
-    }
-    force_passes_.push_back(mdgrape2::make_coulomb_real_pass(
-        beta, shared_.config.ewald.r_cut, charges));
-    potential_passes_.push_back(mdgrape2::make_coulomb_real_potential_pass(
-        beta, shared_.config.ewald.r_cut, charges));
-    if (shared_.config.include_tosi_fumi) {
-      for (auto& p : mdgrape2::make_tosi_fumi_passes(
-               shared_.config.tosi_fumi, shared_.config.ewald.r_cut))
-        force_passes_.push_back(std::move(p));
-      for (auto& p : mdgrape2::make_tosi_fumi_potential_passes(
-               shared_.config.tosi_fumi, shared_.config.ewald.r_cut))
-        potential_passes_.push_back(std::move(p));
-    }
-  }
+        real_comm_(comm.subgroup(shared.real_ranks)),
+        real_(std::move(engines.real)),
+        route_(std::move(engines.route)),
+        buckets_(shared.config.real_processes),
+        to_wine_(shared.config.wn_processes),
+        sent_(shared.config.wn_processes) {}
 
   void main() {
     const int start = shared_.start_step;
@@ -422,199 +459,118 @@ class RealProcess {
     }
     obs::FlightRecorder::record(obs::FlightKind::kPhase, "gather",
                                 shared_.total_steps);
-    gather_final();
+    flush_rank_metrics();
+    // Over the real-process subgroup only (the wavenumber ranks have
+    // already finished their rounds).
+    final_state = gather_state();
   }
 
-  std::vector<Sample> samples;           // rank 0 only
-  std::vector<Vec3> final_positions;     // rank 0 only
-  std::vector<Vec3> final_velocities;    // rank 0 only
+  std::vector<Sample> samples;  // rank 0 only
+  CheckpointState final_state;  // rank 0 only: positions/velocities by id
 
  private:
   int rank() const { return comm_.rank(); }
   int real_count() const { return shared_.config.real_processes; }
   int wn_count() const { return shared_.config.wn_processes; }
 
-  double mass_of(const PRec& p) const {
-    return shared_.species[p.type].mass;
-  }
-
   /// Poll the fault injector at the top of each step: an injected rank
   /// failure throws (and poisons the fabric); an injected board failure
-  /// degrades this rank's MDGRAPE-2 cluster onto its surviving boards.
+  /// goes to the real-space engine.
   void apply_injected_faults(int step) {
     auto* injector = shared_.injector;
     if (!injector) return;
-    maybe_fail_rank(shared_, rank(), step);
+    injector->fail_rank_if_due(rank(), step);
     const int board = injector->board_to_fail(rank(), step);
-    if (board < 0) return;
-    if (board >= mdgrape_.board_count() || mdgrape_.board_failed(board))
-      return;
-    MDM_LOG_WARN(
-        "parallel: rank %d loses MDGRAPE-2 board %d at step %d; degrading "
-        "to %d boards",
-        rank(), board, step, mdgrape_.alive_board_count() - 1);
-    mdgrape_.fail_board(board);
-    static obs::Counter& failures =
-        obs::Registry::global().counter("parallel.board_failures");
-    failures.add(1);
+    if (board >= 0) real_->fail_board(board, rank(), step);
+  }
+
+  /// Sort `particles` into buckets_ by owning domain.
+  void fill_buckets(const std::vector<PRec>& particles) {
+    for (auto& bucket : buckets_) bucket.clear();
+    for (const auto& p : particles)
+      buckets_[grid_.domain_of(p.pos)].push_back(p);
   }
 
   void scatter_initial() {
     if (rank() == 0) {
-      std::vector<std::vector<PRec>> buckets(real_count());
-      for (const auto& p : shared_.initial)
-        buckets[grid_.domain_of(p.pos)].push_back(p);
-      my_ = std::move(buckets[0]);
+      fill_buckets(shared_.initial);
+      my_.swap(buckets_[0]);
       for (int r = 1; r < real_count(); ++r)
-        comm_.send(r, kScatter, buckets[r]);
+        comm_.send(r, kScatter, buckets_[r]);
     } else {
       my_ = comm_.recv<PRec>(0, kScatter);
     }
-    rebuild_id_index();
-  }
-
-  /// Rebuild the id -> my_ slot map; owned particle ids are a subset of the
-  /// dense global 0..N-1 ids, so a flat vector beats a hash map. Must run
-  /// after every ownership change (scatter, migration).
-  void rebuild_id_index() {
-    id_slot_.assign(shared_.n_particles, -1);
-    for (std::size_t i = 0; i < my_.size(); ++i)
-      id_slot_[my_[i].id] = static_cast<std::int32_t>(i);
   }
 
   /// Halo exchange: ship to each other real rank the particles within r_cut
-  /// of that rank's domain cuboid; receive the same from everyone.
-  std::vector<PRec> exchange_halos() {
+  /// of that rank's domain cuboid; receive the same from everyone. The
+  /// engine's local image is the owned particles followed by the halo.
+  void exchange_halos() {
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
     MDM_TRACE_SCOPE("parallel.halo_exchange");
     const std::uint64_t t0 = obs::Trace::now_ns();
     const double r_cut = shared_.config.ewald.r_cut;
     for (int d = 0; d < real_count(); ++d) {
       if (d == rank()) continue;
-      std::vector<PRec> out;
+      halo_out_.clear();
       for (const auto& p : my_)
-        if (grid_.distance_to_domain(p.pos, d) < r_cut) out.push_back(p);
-      comm_.send(d, kHalo, out);
+        if (grid_.distance_to_domain(p.pos, d) < r_cut) halo_out_.push_back(p);
+      comm_.send(d, kHalo, halo_out_);
     }
-    std::vector<PRec> halo;
-    for (int d = 0; d < real_count(); ++d) {
-      if (d == rank()) continue;
-      const auto part = comm_.recv<PRec>(d, kHalo);
-      halo.insert(halo.end(), part.begin(), part.end());
-    }
+    local_pos_.clear();
+    local_type_.clear();
+    const auto add_local = [this](const PRec& p) {
+      local_pos_.push_back(p.pos);
+      local_type_.push_back(p.type);
+    };
+    std::ranges::for_each(my_, add_local);
+    for (int d = 0; d < real_count(); ++d)
+      if (d != rank())
+        std::ranges::for_each(comm_.recv<PRec>(d, kHalo), add_local);
     halo_ms_ += ms_since(t0);
-    return halo;
   }
 
   void compute_forces() {
-    const auto halo = exchange_halos();
+    exchange_halos();
     const std::uint64_t t_force = obs::Trace::now_ns();
-
-    if (native_kernel_) {
-      compute_real_native(halo);
-    } else {
-      compute_real_emulated(halo);
-    }
-
+    local_force_.resize(local_pos_.size());
+    local_potential_ =
+        real_->compute(local_pos_, local_type_, my_.size(), local_force_);
+    for (std::size_t i = 0; i < my_.size(); ++i) my_[i].force = local_force_[i];
     mdgrape_ms_ += ms_since(t_force);
 
-    // Wavenumber part: partition the owned particles over the 8 wavenumber
-    // processes by particle id.
+    // Wavenumber part: route the owned particles over the wavenumber
+    // processes and add the forces they return, batch order preserved.
     const std::uint64_t t_wine = obs::Trace::now_ns();
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
     MDM_TRACE_SCOPE("parallel.wine_exchange");
-    std::vector<std::vector<WnRec>> to_wine(wn_count());
-    if (use_pme_) {
-      // PME routes by mesh geometry: the wavenumber rank owning the
-      // particle's base spreading plane gets it (same floor(wrap(z)/L*K)
-      // as the spline kernel, so routing and spreading cannot disagree).
-      for (const auto& p : my_)
-        to_wine[pme_layout_.route(p.pos.z, shared_.box)].push_back(
-            {p.id, p.type, p.pos});
-    } else {
-      for (const auto& p : my_)
-        to_wine[p.id % wn_count()].push_back({p.id, p.type, p.pos});
+    for (auto& batch : to_wine_) batch.clear();
+    for (auto& slots : sent_) slots.clear();
+    for (std::size_t i = 0; i < my_.size(); ++i) {
+      const int w = route_(my_[i].id, my_[i].pos);
+      to_wine_[w].push_back({my_[i].type, my_[i].pos});
+      sent_[w].push_back(i);
     }
     for (int w = 0; w < wn_count(); ++w)
-      comm_.send(real_count() + w, kToWine, to_wine[w]);
-
-    std::vector<IdForce> returned;
+      comm_.send(real_count() + w, kToWine, to_wine_[w]);
     for (int w = 0; w < wn_count(); ++w) {
-      const auto part = comm_.recv<IdForce>(real_count() + w, kFromWine);
-      returned.insert(returned.end(), part.begin(), part.end());
-    }
-    for (const auto& idf : returned) {
-      const std::int32_t slot =
-          idf.id < id_slot_.size() ? id_slot_[idf.id] : -1;
-      if (slot < 0)
-        throw std::runtime_error("parallel app: wavenumber force for a "
-                                 "particle this rank does not own");
-      my_[static_cast<std::size_t>(slot)].force += idf.force;
+      const auto part = comm_.recv<Vec3>(real_count() + w, kFromWine);
+      if (part.size() != sent_[w].size())
+        throw std::runtime_error("parallel app: wavenumber force count "
+                                 "does not match the particles sent");
+      for (std::size_t k = 0; k < part.size(); ++k)
+        my_[sent_[w][k]].force += part[k];
     }
     if (rank() == 0)
       wn_energy_ = comm_.recv_value<double>(real_count(), kWineEnergy);
     wine_ms_ += ms_since(t_wine);
   }
 
-  /// Emulator real-space pass: owned + halo through the MDGRAPE-2 boards.
-  void compute_real_emulated(const std::vector<PRec>& halo) {
-    // Local particle image: owned first, then halo (MDGRAPE-2 j-set).
-    ParticleSystem local(shared_.box);
-    for (const auto& s : shared_.species) local.add_species(s);
-    for (const auto& p : my_) local.add_particle(p.type, p.pos);
-    for (const auto& p : halo) local.add_particle(p.type, p.pos);
-
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    if (local.size() > 0) {
-      mdgrape_.load_particles(local, shared_.config.ewald.r_cut);
-      for (const auto& pass : force_passes_)
-        mdgrape_.run_force_pass(pass, forces);
-    }
-    for (std::size_t i = 0; i < my_.size(); ++i) my_[i].force = forces[i];
-
-    // Real-space + short-range potential of the owned particles (pair
-    // energies are seen from both sides, hence the factor 1/2).
-    local_potential_ = 0.0;
-    if (local.size() > 0) {
-      std::vector<double> pot(local.size(), 0.0);
-      for (const auto& pass : potential_passes_)
-        mdgrape_.run_potential_pass(pass, pot);
-      for (std::size_t i = 0; i < my_.size(); ++i)
-        local_potential_ += 0.5 * pot[i];
-    }
-  }
-
-  /// Native real-space pass (DESIGN.md §11): one fused one-sided sweep over
-  /// owned + halo gives forces AND potential; like the emulator potential
-  /// pass it sees every owned pair from both sides, hence the factor 1/2.
-  void compute_real_native(const std::vector<PRec>& halo) {
-    pos_buf_.resize(my_.size() + halo.size());
-    type_buf_.resize(my_.size() + halo.size());
-    for (std::size_t i = 0; i < my_.size(); ++i) {
-      pos_buf_[i] = my_[i].pos;
-      type_buf_[i] = my_[i].type;
-    }
-    for (std::size_t i = 0; i < halo.size(); ++i) {
-      pos_buf_[my_.size() + i] = halo[i].pos;
-      type_buf_[my_.size() + i] = halo[i].type;
-    }
-    soa_.sync(shared_.box, pos_buf_, type_buf_, species_charge_);
-
-    force_buf_.assign(soa_.size(), Vec3{});
-    local_potential_ = 0.0;
-    if (soa_.size() > 0) {
-      const ForceResult result =
-          native_kernel_->one_sided(soa_, my_.size(), force_buf_);
-      local_potential_ = 0.5 * result.potential;
-    }
-    for (std::size_t i = 0; i < my_.size(); ++i)
-      my_[i].force = force_buf_[i];
-  }
-
   void half_kick() {
     const double dt = shared_.config.protocol.dt_fs;
     for (auto& p : my_) {
-      const double c = 0.5 * dt * units::kAccelUnit / mass_of(p);
+      const double c =
+          0.5 * dt * units::kAccelUnit / shared_.species[p.type].mass;
       p.vel += c * p.force;
     }
   }
@@ -631,12 +587,11 @@ class RealProcess {
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
     MDM_TRACE_SCOPE("parallel.migrate");
     const std::uint64_t t0 = obs::Trace::now_ns();
-    std::vector<std::vector<PRec>> buckets(real_count());
-    for (const auto& p : my_) buckets[grid_.domain_of(p.pos)].push_back(p);
-    my_ = std::move(buckets[rank()]);
+    fill_buckets(my_);
+    my_.swap(buckets_[rank()]);
     for (int d = 0; d < real_count(); ++d) {
       if (d == rank()) continue;
-      comm_.send(d, kMigrate, buckets[d]);
+      comm_.send(d, kMigrate, buckets_[d]);
     }
     for (int d = 0; d < real_count(); ++d) {
       if (d == rank()) continue;
@@ -646,45 +601,37 @@ class RealProcess {
     // Deterministic ownership order regardless of arrival order.
     std::sort(my_.begin(), my_.end(),
               [](const PRec& a, const PRec& b) { return a.id < b.id; });
-    rebuild_id_index();
     migrate_ms_ += ms_since(t0);
   }
 
   /// Global kinetic energy (eV) via allreduce over the real group.
   double global_kinetic() {
     double twice_ke = 0.0;
-    for (const auto& p : my_) twice_ke += mass_of(p) * norm2(p.vel);
+    for (const auto& p : my_)
+      twice_ke += shared_.species[p.type].mass * norm2(p.vel);
     twice_ke = real_allreduce(twice_ke);
     return 0.5 * twice_ke / units::kAccelUnit;
   }
 
-  double global_temperature() {
+  double temperature_of(double kinetic) const {
     const double dof =
         3.0 * static_cast<double>(shared_.n_particles) -
         (shared_.n_particles > 1 ? 3.0 : 0.0);
-    return 2.0 * global_kinetic() / (dof * units::kBoltzmann);
+    return 2.0 * kinetic / (dof * units::kBoltzmann);
   }
 
   void thermostat() {
-    const double t = global_temperature();
+    const double t = temperature_of(global_kinetic());
     if (t <= 0.0) return;
     const double scale =
         std::sqrt(shared_.config.protocol.temperature_K / t);
     for (auto& p : my_) p.vel *= scale;
   }
 
-  /// Sum-allreduce one double over the real-process group (point-to-point;
-  /// tags distinct from the collective helpers).
+  /// Sum-allreduce one double over the real-process group.
   double real_allreduce(double v) {
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    if (rank() == 0) {
-      for (int r = 1; r < real_count(); ++r)
-        v += comm_.recv_value<double>(r, 9001);
-      for (int r = 1; r < real_count(); ++r) comm_.send_value(r, 9002, v);
-      return v;
-    }
-    comm_.send_value(0, 9001, v);
-    return comm_.recv_value<double>(0, 9002);
+    return real_comm_.allreduce_sum_value(v);
   }
 
   void record_sample(int step) {
@@ -694,10 +641,7 @@ class RealProcess {
     Sample s;
     s.step = step;
     s.time_ps = step * shared_.config.protocol.dt_fs * 1e-3;
-    const double dof =
-        3.0 * static_cast<double>(shared_.n_particles) -
-        (shared_.n_particles > 1 ? 3.0 : 0.0);
-    s.temperature_K = 2.0 * kinetic / (dof * units::kBoltzmann);
+    s.temperature_K = temperature_of(kinetic);
     s.kinetic_eV = kinetic;
     s.potential_eV = potential_rs + wn_energy_ + shared_.self_energy +
                      shared_.background_energy;
@@ -722,34 +666,35 @@ class RealProcess {
     }
   }
 
-  /// Every checkpoint_interval steps the real group funnels its particles
+  /// Every checkpoint_interval steps the real group gathers its particles
   /// to rank 0, which writes one rotating crash-consistent generation.
   void maybe_checkpoint(int step) {
     auto* mgr = shared_.checkpoint;
-    if (!mgr || shared_.checkpoint_interval <= 0 ||
-        step % shared_.checkpoint_interval != 0)
-      return;
+    const int interval = shared_.config.checkpoint_interval;
+    if (!mgr || interval <= 0 || step % interval != 0) return;
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
     MDM_TRACE_SCOPE("parallel.checkpoint");
-    // The ack makes the checkpoint an epoch barrier: no real rank enters
-    // step+1 until the generation is durably on disk. Without it a rank
-    // dying at step+1 can poison the fabric while rank 0 is still writing,
-    // leaving nothing to recover from.
-    if (rank() != 0) {
-      comm_.send(0, kCkptGather, my_);
-      comm_.recv_value<int>(0, kCkptAck);
-      return;
+    CheckpointState state = gather_state();
+    if (rank() == 0) {
+      state.step = static_cast<std::uint64_t>(step);
+      state.time_ps = step * shared_.config.protocol.dt_fs * 1e-3;
+      state.box = shared_.box;
+      state.species = shared_.species;
+      mgr->write(state);
     }
-    std::vector<PRec> all = my_;
-    for (int r = 1; r < real_count(); ++r) {
-      const auto part = comm_.recv<PRec>(r, kCkptGather);
-      all.insert(all.end(), part.begin(), part.end());
-    }
+    // The barrier makes the checkpoint an epoch barrier: no real rank
+    // enters step+1 until the generation is durably on disk. Without it a
+    // rank dying at step+1 can poison the fabric while rank 0 is still
+    // writing, leaving nothing to recover from.
+    real_comm_.barrier();
+  }
+
+  /// Every real rank's particles gathered to rank 0 and indexed by id
+  /// (empty elsewhere).
+  CheckpointState gather_state() {
+    const auto all = real_comm_.gather(my_, 0);
     CheckpointState state;
-    state.step = static_cast<std::uint64_t>(step);
-    state.time_ps = step * shared_.config.protocol.dt_fs * 1e-3;
-    state.box = shared_.box;
-    state.species = shared_.species;
+    if (rank() != 0) return state;
     state.types.assign(shared_.n_particles, 0);
     state.positions.assign(shared_.n_particles, Vec3{});
     state.velocities.assign(shared_.n_particles, Vec3{});
@@ -758,8 +703,7 @@ class RealProcess {
       state.positions[p.id] = p.pos;
       state.velocities[p.id] = p.vel;
     }
-    mgr->write(state);
-    for (int r = 1; r < real_count(); ++r) comm_.send_value(r, kCkptAck, step);
+    return state;
   }
 
   /// Publish this rank's accumulated phase timings as gauges so a run can
@@ -774,42 +718,22 @@ class RealProcess {
     reg.gauge(prefix + "migrate_ms").set(migrate_ms_);
   }
 
-  void gather_final() {
-    flush_rank_metrics();
-    // Gather over the real-process subgroup only (the wavenumber ranks have
-    // already finished their rounds).
-    std::vector<int> real_ranks(real_count());
-    for (int r = 0; r < real_count(); ++r) real_ranks[r] = r;
-    auto real_comm = comm_.subgroup(real_ranks);
-    const auto all = real_comm.gather(my_, 0, kGatherFinal);
-    if (rank() != 0) return;
-    final_positions.assign(shared_.n_particles, Vec3{});
-    final_velocities.assign(shared_.n_particles, Vec3{});
-    for (const auto& p : all) {
-      final_positions[p.id] = p.pos;
-      final_velocities[p.id] = p.vel;
-    }
-  }
-
   const Shared& shared_;
   vmpi::Communicator& comm_;
   DomainGrid grid_;
-  PmeSlabLayout pme_layout_{};  ///< kPme only: wavenumber routing map
-  bool use_pme_ = false;
-  mdgrape2::Mdgrape2System mdgrape_;
-  std::vector<mdgrape2::ForcePass> force_passes_;
-  std::vector<mdgrape2::ForcePass> potential_passes_;
-  std::vector<double> species_charge_;
-  // Native backend (DESIGN.md §11): fused one-sided kernel plus reusable
-  // SoA mirror and scratch, so the steady state stays allocation-free.
-  std::unique_ptr<native::NativeRealKernel> native_kernel_;
-  native::SoaParticles soa_;
-  std::vector<Vec3> pos_buf_;
-  std::vector<int> type_buf_;
-  std::vector<Vec3> force_buf_;
+  vmpi::Communicator real_comm_;  ///< the real-process subgroup
+  std::unique_ptr<RealEngine> real_;
+  WnRoute route_;
   std::vector<PRec> my_;
+  // Round buffers, kept across rounds.
+  std::vector<PRec> halo_out_;
+  std::vector<Vec3> local_pos_;  ///< owned, then halo
+  std::vector<int> local_type_;
+  std::vector<Vec3> local_force_;
+  std::vector<std::vector<PRec>> buckets_;   ///< per real rank (migration)
+  std::vector<std::vector<WnRec>> to_wine_;  ///< per wavenumber rank
+  std::vector<std::vector<std::size_t>> sent_;  ///< my_ slots per batch
   HealthMonitor health_{shared_.config.health};
-  std::vector<std::int32_t> id_slot_;  ///< id -> index in my_ (-1 not owned)
   double local_potential_ = 0.0;
   double wn_energy_ = 0.0;  // rank 0 only
 
@@ -822,80 +746,15 @@ class RealProcess {
 
 }  // namespace
 
-PmeParameters resolved_pme(const ParallelAppConfig& config) {
-  PmeParameters pme = config.pme;
-  if (pme.alpha <= 0.0) pme.alpha = config.ewald.alpha;
-  if (pme.r_cut <= 0.0) pme.r_cut = config.ewald.r_cut;
-  return pme;
-}
-
-const char* to_string(KspaceSolver solver) {
-  return solver == KspaceSolver::kPme ? "pme" : "structure-factor";
-}
-
-KspaceSolver kspace_solver_from_string(const std::string& name) {
-  if (name == "sf" || name == "structure-factor" || name == "ewald")
-    return KspaceSolver::kStructureFactor;
-  if (name == "pme") return KspaceSolver::kPme;
-  throw std::invalid_argument(
-      "kspace_solver_from_string: unknown solver '" + name +
-      "' (expected sf, structure-factor, ewald or pme)");
-}
-
-MdmParallelApp::MdmParallelApp(ParallelAppConfig config) : config_(config) {
-  if (config_.real_processes < 1)
-    throw std::invalid_argument(
-        "MdmParallelApp: real_processes must be >= 1 (got " +
-        std::to_string(config_.real_processes) + ")");
-  if (config_.wn_processes < 1)
-    throw std::invalid_argument(
-        "MdmParallelApp: wn_processes must be >= 1 (got " +
-        std::to_string(config_.wn_processes) + ")");
-  if (config_.domain_nx != 0 || config_.domain_ny != 0 ||
-      config_.domain_nz != 0) {
-    const std::string grid_str = std::to_string(config_.domain_nx) + "x" +
-                                 std::to_string(config_.domain_ny) + "x" +
-                                 std::to_string(config_.domain_nz);
-    if (config_.domain_nx < 1 || config_.domain_ny < 1 ||
-        config_.domain_nz < 1)
-      throw std::invalid_argument(
-          "MdmParallelApp: explicit domain grid must be >= 1 in every axis "
-          "(got " + grid_str + ")");
-    const int domains =
-        config_.domain_nx * config_.domain_ny * config_.domain_nz;
-    if (domains != config_.real_processes)
-      throw std::invalid_argument(
-          "MdmParallelApp: domain grid " + grid_str + " = " +
-          std::to_string(domains) + " domains does not match "
-          "real_processes = " + std::to_string(config_.real_processes));
-  }
-  if (config_.kspace_solver == KspaceSolver::kPme) {
-    // Box-independent mesh checks fail here, at configuration time; the
-    // box-dependent ones (r_cut <= L/2) rerun in run() via validated_pme.
-    const PmeParameters pme = resolved_pme(config_);
-    if (!is_power_of_two(static_cast<std::size_t>(pme.grid)))
-      throw std::invalid_argument(
-          "MdmParallelApp: PME grid must be a power of two (got " +
-          std::to_string(pme.grid) + ")");
-    if (pme.order < 3 || pme.order > 10)
-      throw std::invalid_argument(
-          "MdmParallelApp: PME order must be in [3, 10] (got " +
-          std::to_string(pme.order) + ")");
-    if (pme.grid < 2 * pme.order)
-      throw std::invalid_argument(
-          "MdmParallelApp: PME grid " + std::to_string(pme.grid) +
-          " too small for order " + std::to_string(pme.order));
-    PmeSlabLayout::create(pme.grid, pme.order, config_.wn_processes);
-  }
-}
-
 ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
   Shared shared;
   shared.config = config_;
   shared.box = initial.box();
   shared.n_particles = initial.size();
-  for (int t = 0; t < initial.species_count(); ++t)
+  for (int t = 0; t < initial.species_count(); ++t) {
     shared.species.push_back(initial.species(t));
+    shared.charge_of_type.push_back(initial.species(t).charge);
+  }
   shared.initial.resize(initial.size());
   for (std::size_t i = 0; i < initial.size(); ++i) {
     shared.initial[i] = {static_cast<std::uint32_t>(i),
@@ -912,15 +771,18 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
       (2.0 * beta * beta * shared.box * shared.box * shared.box) * q * q;
   shared.total_steps =
       config_.protocol.nvt_steps + config_.protocol.nve_steps;
+  for (int r = 0; r < config_.real_processes + config_.wn_processes; ++r)
+    (r < config_.real_processes ? shared.real_ranks : shared.wn_ranks)
+        .push_back(r);
   // Fail fast on box-dependent PME misconfiguration (r_cut vs L/2) before
   // any rank thread launches.
   if (config_.kspace_solver == KspaceSolver::kPme)
     validated_pme(resolved_pme(config_), shared.box);
 
   // Fault-tolerance wiring: explicit injector wins; otherwise the
-  // MDM_FAULT_SPEC/MDM_FAULT_SEED environment knobs apply. Dropped
-  // messages are retransmitted with bounded backoff so a transient fabric
-  // fault costs latency, not the run.
+  // MDM_FAULT_SPEC/MDM_FAULT_SEED environment knobs apply. vmpi
+  // retransmits dropped messages with bounded backoff, so a transient
+  // fabric fault costs latency, not the run.
   std::unique_ptr<vmpi::FaultInjector> env_injector;
   shared.injector = config_.fault_injector;
   if (!shared.injector) {
@@ -937,7 +799,6 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
     ckpt_mgr = std::make_unique<CheckpointManager>(config_.checkpoint_dir,
                                                    config_.checkpoint_keep);
   shared.checkpoint = ckpt_mgr.get();
-  shared.checkpoint_interval = config_.checkpoint_interval;
 
   const auto apply_state = [&shared](const CheckpointState& state) {
     if (state.size() != shared.n_particles)
@@ -962,14 +823,6 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
   ParallelRunResult result;
   vmpi::World world(config_.real_processes + config_.wn_processes);
   if (shared.injector) world.set_fault_injector(shared.injector);
-  world.set_send_retry(
-      config_.send_max_retries,
-      std::chrono::microseconds(
-          static_cast<long>(config_.send_backoff_us)));
-  if (config_.recv_timeout_ms > 0)
-    world.set_recv_timeout(std::chrono::milliseconds(
-        static_cast<long>(config_.recv_timeout_ms)));
-  std::mutex result_mutex;
 
   // One trace per run: adopt the caller's ambient context (a serve job's
   // trace) or mint a fresh one; every epoch — the initial attempt and each
@@ -984,17 +837,17 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
     obs::TraceSpan epoch_span("parallel.epoch");
     try {
       world.run([&](vmpi::Communicator& comm) {
-        if (comm.rank() < config_.real_processes) {
-          RealProcess proc(shared, comm);
-          proc.main();
-          if (comm.rank() == 0) {
-            std::lock_guard lock(result_mutex);
-            result.samples = std::move(proc.samples);
-            result.positions = std::move(proc.final_positions);
-            result.velocities = std::move(proc.final_velocities);
-          }
-        } else {
-          wavenumber_main(shared, comm);
+        RankEngines engines = make_engines(shared, comm);
+        if (!engines.real) {
+          wavenumber_main(shared, comm, *engines.kspace);
+          return;
+        }
+        RealProcess proc(shared, comm, std::move(engines));
+        proc.main();
+        if (comm.rank() == 0) {  // only rank 0 writes the result
+          result.samples = std::move(proc.samples);
+          result.positions = std::move(proc.final_state.positions);
+          result.velocities = std::move(proc.final_state.velocities);
         }
       });
       return result;

@@ -32,7 +32,6 @@
 #include "ewald/pme.hpp"
 #include "host/domain.hpp"
 #include "mdgrape2/system.hpp"
-#include "wine2/formats.hpp"
 
 namespace mdm::vmpi {
 class FaultInjector;
@@ -88,7 +87,6 @@ struct ParallelAppConfig {
   TosiFumiParameters tosi_fumi = TosiFumiParameters::nacl();
   int mdgrape_boards_per_process = 2;  ///< one cluster per process
   int wine_boards_per_process = 7;     ///< one cluster per process
-  wine2::WineFormats wine_formats = wine2::WineFormats::paper();
 
   /// Force-evaluation backend (DESIGN.md §11). kEmulator drives the
   /// MDGRAPE-2/WINE-2 pipelines; kNative runs the vectorized host kernels
@@ -96,13 +94,11 @@ struct ParallelAppConfig {
   /// structure-factor allreduce over the wavenumber group).
   Backend backend = Backend::kEmulator;
 
-  // Fault-tolerance knobs (DESIGN.md "Failure model of the virtual
-  // fabric"). When fault_injector is null, MDM_FAULT_SPEC/MDM_FAULT_SEED
-  // are consulted instead.
+  // Fault injection (DESIGN.md "Failure model of the virtual fabric").
+  // When fault_injector is null, MDM_FAULT_SPEC/MDM_FAULT_SEED are
+  // consulted instead. Dropped messages are retransmitted with vmpi's
+  // default policy; MDM_VMPI_TIMEOUT_MS bounds every recv.
   vmpi::FaultInjector* fault_injector = nullptr;  ///< not owned
-  int send_max_retries = 3;      ///< retransmissions for dropped messages
-  double send_backoff_us = 50;   ///< initial retransmission backoff
-  double recv_timeout_ms = 0;    ///< recv deadline; 0 = wait forever
 
   // Checkpoint/restart + numerical health (DESIGN.md §8). Rank 0 gathers
   // the full configuration every checkpoint_interval steps and writes a

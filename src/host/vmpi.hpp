@@ -95,7 +95,7 @@ class Communicator {
     if (bytes.size() % sizeof(T) != 0)
       throw std::runtime_error("vmpi: message size not a multiple of T");
     std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 

@@ -46,13 +46,14 @@ double Wine2MpiLibrary::calculate_force_and_pot_wavepart_nooffset(
         std::to_string(expected_particles_));
 
   system_->load_waves(kvectors);
-
+  // An empty rank loads no particles but still sets the box, so it knows
+  // the global energy after the reduction.
+  system_->set_particles(positions, charges, box);
   StructureFactors sf;
   if (positions.empty()) {
     sf.s.assign(kvectors.size(), 0.0);
     sf.c.assign(kvectors.size(), 0.0);
   } else {
-    system_->set_particles(positions, charges, box);
     sf = system_->run_dft();
   }
 
@@ -68,21 +69,8 @@ double Wine2MpiLibrary::calculate_force_and_pot_wavepart_nooffset(
   comm_->allreduce_sum(sf.c, /*tag=*/7003);
   allreduces.add(2);
 
-  double energy = 0.0;
-  if (!positions.empty()) {
-    system_->run_idft(sf, forces);
-    energy = system_->reciprocal_energy(sf);
-  } else {
-    // Ranks without particles still know the global energy.
-    wine2::Wine2System probe({.clusters = 1, .boards_per_cluster = 1,
-                              .chips_per_board = 1});
-    probe.load_waves(kvectors);
-    // reciprocal_energy only needs the waves and the box.
-    probe.set_particles(std::vector<Vec3>{Vec3{}},
-                        std::vector<double>{0.0}, box);
-    energy = probe.reciprocal_energy(sf);
-  }
-  return energy;
+  if (!positions.empty()) system_->run_idft(sf, forces);
+  return system_->reciprocal_energy(sf);
 }
 
 void Wine2MpiLibrary::wine2_free_board() { system_.reset(); }

@@ -196,4 +196,21 @@ std::vector<ForcePass> make_tosi_fumi_potential_passes(
   return passes;
 }
 
+RealSpacePasses make_real_space_passes(double beta, double r_cut,
+                                       std::span<const double> charges,
+                                       bool include_tosi_fumi,
+                                       const TosiFumiParameters& tf) {
+  RealSpacePasses passes;
+  passes.force.push_back(make_coulomb_real_pass(beta, r_cut, charges));
+  passes.potential.push_back(
+      make_coulomb_real_potential_pass(beta, r_cut, charges));
+  if (include_tosi_fumi) {
+    for (auto& p : make_tosi_fumi_passes(tf, r_cut))
+      passes.force.push_back(std::move(p));
+    for (auto& p : make_tosi_fumi_potential_passes(tf, r_cut))
+      passes.potential.push_back(std::move(p));
+  }
+  return passes;
+}
+
 }  // namespace mdm::mdgrape2

@@ -86,4 +86,17 @@ std::vector<ForcePass> make_tosi_fumi_passes(const TosiFumiParameters& tf,
 std::vector<ForcePass> make_tosi_fumi_potential_passes(
     const TosiFumiParameters& tf, double r_cut, double r_min = 1.0);
 
+/// The host's real-space pass lists (sec. 3.1): the Ewald real-space
+/// Coulomb pass first, then the three Tosi-Fumi passes when
+/// `include_tosi_fumi` is set; `potential` mirrors `force` pass for pass.
+/// Shared by the serial MdmForceField and the parallel app's real ranks.
+struct RealSpacePasses {
+  std::vector<ForcePass> force;
+  std::vector<ForcePass> potential;
+};
+RealSpacePasses make_real_space_passes(double beta, double r_cut,
+                                       std::span<const double> charges,
+                                       bool include_tosi_fumi,
+                                       const TosiFumiParameters& tf);
+
 }  // namespace mdm::mdgrape2

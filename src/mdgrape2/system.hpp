@@ -81,6 +81,17 @@ class Mdgrape2System {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
+  template <typename T>
+  using BoardCalc = void (Board::*)(std::span<const StoredParticle>,
+                                    std::span<const int>, double,
+                                    std::span<T>);
+  /// Shared body of the force and potential passes: partition the slots
+  /// over the alive boards, run `calc` on each board's slice into
+  /// `slot_out` and add the results into `out` in particle order.
+  template <typename T>
+  PassStats run_pass(const ForcePass& pass, BoardCalc<T> calc,
+                     std::vector<T>& slot_out, std::span<T> out);
+
   SystemConfig config_;
   std::vector<std::unique_ptr<Board>> boards_;
   std::unique_ptr<CellList> cells_;

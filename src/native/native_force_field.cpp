@@ -10,10 +10,9 @@
 #include "util/units.hpp"
 
 namespace mdm::native {
-namespace {
 
-NativeRealKernel::Config real_config(const NativeForceFieldConfig& config,
-                                     double box) {
+NativeRealKernel::Config real_kernel_config(
+    const NativeForceFieldConfig& config, double box) {
   NativeRealKernel::Config rc;
   rc.box = box;
   rc.beta = config.ewald.alpha / box;
@@ -24,15 +23,13 @@ NativeRealKernel::Config real_config(const NativeForceFieldConfig& config,
   return rc;
 }
 
-}  // namespace
-
 NativeForceField::NativeForceField(const NativeForceFieldConfig& config,
                                    double box)
     : config_(config),
       box_(box),
       beta_(config.ewald.alpha / box),
       kvectors_(box, config.ewald.alpha, config.ewald.lk_cut),
-      real_(real_config(config, box)),
+      real_(real_kernel_config(config, box)),
       kspace_(kvectors_) {}
 
 ForceResult NativeForceField::add_real_space(const ParticleSystem& system,

@@ -37,6 +37,11 @@ struct NativeForceFieldConfig {
   bool tf_shift_energy = false;
 };
 
+/// Real-space kernel settings of an Ewald + Tosi-Fumi field. Shared by
+/// NativeForceField and the parallel app's native real ranks.
+NativeRealKernel::Config real_kernel_config(
+    const NativeForceFieldConfig& config, double box);
+
 class NativeForceField final : public ForceField {
  public:
   NativeForceField(const NativeForceFieldConfig& config, double box);

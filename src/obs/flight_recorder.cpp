@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <fstream>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -44,12 +46,17 @@ constexpr std::size_t kMaxRings = 1024;
 /// Lock-free ring registry: a fixed array of pointers published with a
 /// release store, so the fatal-signal handler can walk it without taking
 /// any lock. Rings are leaked on purpose (threads may record during static
-/// destruction).
+/// destruction). Once all kMaxRings slots are taken, a new thread gets the
+/// ring of an exited thread, oldest release first; the mutex guards only
+/// that hand-over (thread exit and a ring-less thread's first event).
 struct Registry {
   std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> recorded{0};
   std::atomic<std::size_t> count{0};
   std::atomic<Ring*> rings[kMaxRings] = {};
+  std::mutex released_mutex;
+  std::deque<Ring*> released;  ///< rings of exited threads, FIFO
+  std::atomic<std::size_t> released_count{0};
 
   Registry() {
     const char* env = std::getenv("MDM_FLIGHT");
@@ -64,19 +71,52 @@ Registry& registry() {
 }
 
 thread_local Ring* t_ring = nullptr;
+thread_local bool t_exited = false;  ///< ring already handed back
 thread_local int t_rank = -1;
 
-Ring* local_ring() {
-  if (!t_ring) {
+/// Hands the thread's ring back to the registry when the thread exits.
+struct RingRelease {
+  ~RingRelease() {
     auto& reg = registry();
+    std::lock_guard lock(reg.released_mutex);
+    reg.released.push_back(t_ring);
+    reg.released_count.store(reg.released.size(), std::memory_order_relaxed);
+    t_ring = nullptr;
+    t_exited = true;
+  }
+};
+
+Ring* local_ring() {
+  if (t_ring || t_exited) return t_ring;
+  auto& reg = registry();
+  Ring* ring = nullptr;
+  if (reg.count.load(std::memory_order_relaxed) < kMaxRings) {
     const std::size_t idx =
         reg.count.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= kMaxRings) return nullptr;  // beyond the cap: drop events
-    auto* ring = new Ring;
-    reg.rings[idx].store(ring, std::memory_order_release);
-    t_ring = ring;
+    if (idx < kMaxRings) {
+      ring = new Ring;
+      reg.rings[idx].store(ring, std::memory_order_release);
+    }
   }
-  return t_ring;
+  if (!ring) {
+    // Every slot is taken: reuse an exited thread's ring, or drop the
+    // event while every ring still has a live owner.
+    if (reg.released_count.load(std::memory_order_relaxed) == 0)
+      return nullptr;
+    std::lock_guard lock(reg.released_mutex);
+    if (reg.released.empty()) return nullptr;
+    ring = reg.released.front();
+    reg.released.pop_front();
+    reg.released_count.store(reg.released.size(), std::memory_order_relaxed);
+  }
+  t_ring = ring;
+  // The main thread keeps its ring: it may still record during static
+  // destruction, after its thread_local objects are gone.
+  if (::gettid() != ::getpid()) {
+    static thread_local RingRelease release;  // registers the hand-back
+    static_cast<void>(release);
+  }
+  return ring;
 }
 
 // ---- async-signal-safe formatting helpers -------------------------------

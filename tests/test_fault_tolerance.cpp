@@ -456,6 +456,42 @@ TEST(FaultTolerance, BoardFailureDegradesGracefully) {
   }
 }
 
+TEST(FaultTolerance, BoardFailureOnNativeBackendChangesNothing) {
+  // The native backend drives no MDGRAPE-2 boards, so a board fault has
+  // nothing to degrade: the run is bit-identical to the fault-free one and
+  // no board failure is counted.
+  const auto sys = initial_state(2, 9);
+  auto cfg = app_config(sys, 2, 2, 2, 3);
+  cfg.backend = Backend::kNative;
+
+  host::MdmParallelApp baseline_app(cfg);
+  const auto baseline = baseline_app.run(sys);
+
+  FaultInjector injector;
+  injector.parse_spec("failboard:rank=1,board=0,step=1");
+  auto faulty_cfg = cfg;
+  faulty_cfg.fault_injector = &injector;
+  const auto board_failures = counter("mdgrape2.board_failures");
+  const auto app_failures = counter("parallel.board_failures");
+  host::MdmParallelApp faulty_app(faulty_cfg);
+  const auto faulty = faulty_app.run(sys);
+
+  EXPECT_EQ(counter("mdgrape2.board_failures"), board_failures);
+  EXPECT_EQ(counter("parallel.board_failures"), app_failures);
+  ASSERT_EQ(faulty.samples.size(), baseline.samples.size());
+  for (std::size_t k = 0; k < baseline.samples.size(); ++k)
+    EXPECT_EQ(faulty.samples[k].total_eV, baseline.samples[k].total_eV) << k;
+  ASSERT_EQ(faulty.positions.size(), baseline.positions.size());
+  for (std::size_t i = 0; i < baseline.positions.size(); ++i) {
+    EXPECT_EQ(faulty.positions[i].x, baseline.positions[i].x) << i;
+    EXPECT_EQ(faulty.positions[i].y, baseline.positions[i].y) << i;
+    EXPECT_EQ(faulty.positions[i].z, baseline.positions[i].z) << i;
+    EXPECT_EQ(faulty.velocities[i].x, baseline.velocities[i].x) << i;
+    EXPECT_EQ(faulty.velocities[i].y, baseline.velocities[i].y) << i;
+    EXPECT_EQ(faulty.velocities[i].z, baseline.velocities[i].z) << i;
+  }
+}
+
 TEST(FaultTolerance, AllBoardsFailedIsAnErrorNotAHang) {
   const auto sys = initial_state(2, 9);
   auto cfg = app_config(sys, 2, 1, 1, 1);

@@ -117,6 +117,24 @@ TEST_F(FlightRecorderTest, PerThreadRingsMergeInOneSnapshot) {
   EXPECT_TRUE(saw_rank[0] && saw_rank[1] && saw_rank[2]);
 }
 
+TEST_F(FlightRecorderTest, ExitedThreadRingsAreReusedPastTheCap) {
+  // More threads than the registry has ring slots, one at a time (a
+  // long-lived process running parallel job after parallel job): once the
+  // slots are taken, a new thread must inherit an exited thread's ring
+  // instead of silently recording nothing.
+  for (int t = 0; t < 1032; ++t) {
+    std::thread([t] {
+      FlightRecorder::record(FlightKind::kNote, "fr_churn", t);
+    }).join();
+  }
+  std::thread([] {
+    FlightRecorder::record(FlightKind::kNote, "fr_after_cap", 7);
+  }).join();
+  const auto events = events_with_label("fr_after_cap");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].a, 7);
+}
+
 TEST_F(FlightRecorderTest, DisabledDropsEventsButKeepsRankLabels) {
   FlightRecorder::set_enabled(false);
   FlightRecorder::set_thread_rank(9);  // must stick while disabled
