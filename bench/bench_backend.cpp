@@ -5,9 +5,11 @@
 /// reference and the emulators, steady-state allocation counts, and the
 /// derived per-pair / per-wave costs that seed perf::BackendCostModel.
 ///
-/// Exits non-zero if the native real-space kernel is not at least 3x faster
+/// Exits non-zero if the native real-space kernel is not at least 8x faster
 /// than the MDGRAPE-2 emulation single-thread, or if a native kernel
-/// allocates in the steady state — these are the PR's performance contract.
+/// allocates in the steady state — the backend's performance contract. The
+/// native kernel evaluates only in-range pairs (~14x measured at --cells 4
+/// and 8); a kernel that evaluates every candidate measures 4-7x and fails.
 ///
 ///   ./bench_backend [--cells 4] [--reps 5]
 
@@ -287,8 +289,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
   report.write();
 
-  if (real_speedup < 3.0) {
-    std::printf("REGRESSION: native real-space speedup %.2fx < 3x contract\n",
+  if (real_speedup < 8.0) {
+    std::printf("REGRESSION: native real-space speedup %.2fx < 8x contract\n",
                 real_speedup);
     contract_ok = false;
   }

@@ -4,12 +4,12 @@
 
 namespace mdm::mdgrape2 {
 
-void Board::load_particles(std::vector<StoredParticle> particles,
+void Board::load_particles(const std::vector<StoredParticle>& particles,
                            const CellList& cells) {
   if (particles.size() > kBoardParticleCapacity)
     throw std::length_error(
         "Board: particle memory capacity exceeded (8 MB SSRAM)");
-  particles_ = std::move(particles);
+  particles_ = particles;
   const int n_cells = cells.cell_count();
   cell_ranges_.resize(n_cells);
   neighbors_.resize(n_cells);

@@ -33,8 +33,8 @@ class Board {
   /// Load the j-side: particle memory (cell-sorted) plus the cell table.
   /// `cells` must have been built over the same positions used to produce
   /// `particles` (in cell order). Throws if the particle memory capacity is
-  /// exceeded.
-  void load_particles(std::vector<StoredParticle> particles,
+  /// exceeded. Copies into the particle memory, reusing its capacity.
+  void load_particles(const std::vector<StoredParticle>& particles,
                       const CellList& cells);
   std::size_t loaded_particles() const { return particles_.size(); }
 

@@ -45,8 +45,15 @@ void Mdgrape2System::load_particles(const ParticleSystem& system,
                                     double r_cut) {
   obs::ScopedPhase host_phase(obs::Phase::kHost);
   MDM_TRACE_SCOPE("mdgrape2.load_particles");
-  box_ = system.box();
-  cells_ = std::make_unique<CellList>(box_, r_cut * config_.cell_margin);
+  // The grid depends only on the box and the cell side: keep it (and its
+  // buffers) while both hold. The full build() below still runs every call,
+  // so the binning never depends on history (bit-identical restart).
+  const double cell_side = r_cut * config_.cell_margin;
+  if (!cells_ || system.box() != box_ || cell_side != cell_side_) {
+    cells_ = std::make_unique<CellList>(system.box(), cell_side);
+    box_ = system.box();
+    cell_side_ = cell_side;
+  }
   if (cells_->cells_per_side() < 3)
     throw std::invalid_argument(
         "Mdgrape2System: cell-index method needs >= 3 cells per side "

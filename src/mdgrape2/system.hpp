@@ -96,6 +96,7 @@ class Mdgrape2System {
   std::vector<std::unique_ptr<Board>> boards_;
   std::unique_ptr<CellList> cells_;
   double box_ = 0.0;
+  double cell_side_ = 0.0;  ///< minimum cell side cells_ was made for
   /// Cell-sorted particle image plus the original index of each slot.
   std::vector<StoredParticle> stored_;
   std::vector<std::uint32_t> original_index_;

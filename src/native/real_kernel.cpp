@@ -37,11 +37,16 @@ NativeRealKernel::NativeRealKernel(const Config& config)
   }
 }
 
-/// The vectorizable inner loop: one i particle against the contiguous slot
-/// range [jb, je). Two passes — a straight-line compute pass with only
-/// unit-stride loads/stores (auto-vectorizes), then a scalar sum of the
-/// 6-lane store buffer (strict-FP reductions do not vectorize; this keeps
-/// the summation order explicit and deterministic).
+/// One i particle against the contiguous slot range [jb, je), in two
+/// stages over the worker's store (DESIGN.md §11):
+///  1. filter: minimum image, r^2 and the cutoff test for every candidate;
+///     in-range partners other than `skip` are packed in j order, the slot
+///     in `idx` and dx, dy, dz, r^2 in the store lanes;
+///  2. evaluate: the fused erfc/exp/Tosi-Fumi math on the packed pairs
+///     only, overwriting the lanes with fx, fy, fz, virial and potential.
+/// The Newton j-scatter and the per-i sums then walk the packed pairs in j
+/// order. Out-of-range candidates contributed exact zeros before they were
+/// dropped, so every sum is the one a masked full sweep would produce.
 template <bool kNewton>
 void NativeRealKernel::pair_range(double xi, double yi, double zi,
                                   double qi_ke, const double* cb,
@@ -49,22 +54,23 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
                                   const double* shr, std::size_t jb,
                                   std::size_t je, std::size_t skip,
                                   double* jfx, double* jfy, double* jfz,
-                                  double* tmp, Acc& acc) const {
+                                  double* lanes, std::uint32_t* idx,
+                                  Acc& acc) const {
   const double box = cfg_.box;
   const double half = 0.5 * box;
   const double cutoff2 = cutoff2_;
   const double beta = cfg_.beta;
   const double inv_rho = inv_rho_;
-  const std::size_t len = je - jb;
-  double* t_fx = tmp;
-  double* t_fy = tmp + tmp_stride_;
-  double* t_fz = tmp + 2 * tmp_stride_;
-  double* t_pot = tmp + 3 * tmp_stride_;
-  double* t_vir = tmp + 4 * tmp_stride_;
-  double* t_cnt = tmp + 5 * tmp_stride_;
+  double* l_x = lanes;
+  double* l_y = lanes + tmp_stride_;
+  double* l_z = lanes + 2 * tmp_stride_;
+  double* l_r2 = lanes + 3 * tmp_stride_;
+  double* l_pot = lanes + 4 * tmp_stride_;
 
-  for (std::size_t k = 0; k < len; ++k) {
-    const std::size_t j = jb + k;
+  // Stage 1. Every candidate writes slot m and advances m only when in
+  // range (no data-dependent branch; m <= j - jb, inside the store).
+  std::size_t m = 0;
+  for (std::size_t j = jb; j < je; ++j) {
     // Minimum image by compare-blend: coordinates are wrapped into
     // [0, box), so one correction per axis suffices.
     double dx = xi - xs_[j];
@@ -77,11 +83,19 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
     dz += dz < -half ? box : 0.0;
     dz -= dz > half ? box : 0.0;
     const double r2 = dx * dx + dy * dy + dz * dz;
-    const bool in = (r2 < cutoff2) & (j != skip);
-    // Masked-out lanes (incl. the self slot at r = 0) evaluate at r = 1 so
-    // every intermediate stays finite; their results blend to zero below.
-    const double r2g = in ? r2 : 1.0;
-    const double r = std::sqrt(r2g);
+    idx[m] = static_cast<std::uint32_t>(j);
+    l_x[m] = dx;
+    l_y[m] = dy;
+    l_z[m] = dz;
+    l_r2[m] = r2;
+    m += static_cast<std::size_t>((r2 < cutoff2) & (j != skip));
+  }
+
+  // Stage 2: in-range pairs only, so r > 0 and nothing needs masking.
+  for (std::size_t p = 0; p < m; ++p) {
+    const std::size_t j = idx[p];
+    const double r2 = l_r2[p];
+    const double r = std::sqrt(r2);
     const double inv_r = 1.0 / r;
     const double inv_r2 = inv_r * inv_r;
     // Ewald real space, eq. 2.
@@ -98,32 +112,29 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
     const double inv_r8 = inv_r6 * inv_r2;
     s += be * inv_rho * inv_r - 6.0 * c6r[j] * inv_r8 -
          8.0 * d8r[j] * inv_r8 * inv_r2;
-    double pot = pot_c + be - c6r[j] * inv_r6 - d8r[j] * inv_r8 - shr[j];
-    s = in ? s : 0.0;
-    pot = in ? pot : 0.0;
-    const double fx = s * dx;
-    const double fy = s * dy;
-    const double fz = s * dz;
-    if constexpr (kNewton) {
-      jfx[j] -= fx;
-      jfy[j] -= fy;
-      jfz[j] -= fz;
+    l_pot[p] = pot_c + be - c6r[j] * inv_r6 - d8r[j] * inv_r8 - shr[j];
+    l_x[p] *= s;
+    l_y[p] *= s;
+    l_z[p] *= s;
+    l_r2[p] = s * r2;
+  }
+
+  if constexpr (kNewton) {
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::size_t j = idx[p];
+      jfx[j] -= l_x[p];
+      jfy[j] -= l_y[p];
+      jfz[j] -= l_z[p];
     }
-    t_fx[k] = fx;
-    t_fy[k] = fy;
-    t_fz[k] = fz;
-    t_pot[k] = pot;
-    t_vir[k] = s * r2;
-    t_cnt[k] = in ? 1.0 : 0.0;
   }
-  for (std::size_t k = 0; k < len; ++k) {
-    acc.fx += t_fx[k];
-    acc.fy += t_fy[k];
-    acc.fz += t_fz[k];
-    acc.pot += t_pot[k];
-    acc.vir += t_vir[k];
-    acc.pairs += t_cnt[k];
+  for (std::size_t p = 0; p < m; ++p) {
+    acc.fx += l_x[p];
+    acc.fy += l_y[p];
+    acc.fz += l_z[p];
+    acc.pot += l_pot[p];
+    acc.vir += l_r2[p];
   }
+  acc.pairs += static_cast<double>(m);
 }
 
 void NativeRealKernel::prepare(const SoaParticles& soa) {
@@ -187,9 +198,10 @@ void NativeRealKernel::prepare(const SoaParticles& soa) {
   }
 }
 
-void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
-  // Store buffers must cover the longest j-range: a full row in N^2 mode,
-  // one cell's occupancy otherwise.
+void NativeRealKernel::ensure_scratch(std::size_t n, int chunks,
+                                      unsigned workers) {
+  // Stores must cover the longest j-range: a full row in N^2 mode, one
+  // cell's occupancy otherwise.
   std::size_t stride = n;
   if (!n2_) {
     std::uint32_t max_occ = 1;
@@ -197,10 +209,12 @@ void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
       max_occ = std::max(max_occ, cells_.cell_range(c).size());
     stride = max_occ;
   }
-  if (n == scr_slots_ && chunks == scr_chunks_ && stride <= tmp_stride_)
+  if (n == scr_slots_ && chunks == scr_chunks_ && stride <= tmp_stride_ &&
+      workers <= scr_workers_)
     return;
   scr_slots_ = n;
   scr_chunks_ = chunks;
+  scr_workers_ = std::max(workers, scr_workers_);
   tmp_stride_ = std::max(stride, tmp_stride_);
   const std::size_t cn = static_cast<std::size_t>(chunks) * n;
   jfx_.assign(cn, 0.0);
@@ -208,14 +222,17 @@ void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
   jfz_.assign(cn, 0.0);
   dirty_.assign(static_cast<std::size_t>(chunks), {0, 0});
   tally_.assign(static_cast<std::size_t>(chunks), {});
-  tmp_.resize(static_cast<std::size_t>(chunks) * 6 * tmp_stride_);
+  tmp_.resize(scr_workers_ * kLanes * tmp_stride_);
+  idx_.resize(scr_workers_ * tmp_stride_);
 }
 
-void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
+void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n,
+                                 unsigned worker) {
   double* jfx = jfx_.data() + k * n;
   double* jfy = jfy_.data() + k * n;
   double* jfz = jfz_.data() + k * n;
-  double* tmp = tmp_.data() + k * 6 * tmp_stride_;
+  double* lanes = tmp_.data() + worker * kLanes * tmp_stride_;
+  std::uint32_t* idx = idx_.data() + worker * tmp_stride_;
   std::uint32_t lo = static_cast<std::uint32_t>(n);
   std::uint32_t hi = 0;
   ChunkTally tally;
@@ -243,7 +260,7 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
       pair_range<true>(xs_[i], ys_[i], zs_[i], units::kCoulomb * qs_[i],
                        cb_.data() + base, cc6_.data() + base,
                        cd8_.data() + base, csh_.data() + base, i + 1, n,
-                       kNoSkip, jfx, jfy, jfz, tmp, acc);
+                       kNoSkip, jfx, jfy, jfz, lanes, idx, acc);
       touch(static_cast<std::uint32_t>(i + 1), static_cast<std::uint32_t>(n));
       flush_i(i, acc);
     }
@@ -270,7 +287,8 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
         Acc acc;
         // Same-cell partners after i (each unordered pair once)...
         pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
-                         a + 1, own.end, kNoSkip, jfx, jfy, jfz, tmp, acc);
+                         a + 1, own.end, kNoSkip, jfx, jfy, jfz, lanes, idx,
+                         acc);
         touch(a + 1, own.end);
         // ...then the 13 forward neighbour cells of the half stencil.
         for (const auto& off : CellList::kHalfStencil) {
@@ -280,7 +298,7 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
           if (other.size() == 0) continue;
           pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
                            other.begin, other.end, kNoSkip, jfx, jfy, jfz,
-                           tmp, acc);
+                           lanes, idx, acc);
           touch(other.begin, other.end);
         }
         flush_i(a, acc);
@@ -301,18 +319,22 @@ ForceResult NativeRealKernel::sweep(const SoaParticles& soa,
       n2_ ? n : static_cast<std::size_t>(cells_.cell_count());
   const int chunks = static_cast<int>(
       std::min<std::size_t>(CellList::kPairChunks, units ? units : 1));
-  ensure_scratch(n, chunks);
+  const bool fan_out = pool && pool->size() > 1;
+  // Stores are per pool worker (only that many chunks run at once); the
+  // j-side buffers and tallies stay per chunk for the ordered reduction.
+  ensure_scratch(n, chunks, fan_out ? pool->size() : 1);
 
-  if (pool && pool->size() > 1) {
+  if (fan_out) {
     pool_for(
         *pool, static_cast<std::size_t>(chunks),
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) run_chunk(k, chunks, n);
+        [&](unsigned worker, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k)
+            run_chunk(k, chunks, n, worker);
         },
         /*min_parallel=*/0);
   } else {
     for (std::size_t k = 0; k < static_cast<std::size_t>(chunks); ++k)
-      run_chunk(k, chunks, n);
+      run_chunk(k, chunks, n, 0);
   }
 
   // Chunk-ordered reduction into the caller's force array (slot -> particle
@@ -349,8 +371,9 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
   MDM_TRACE_SCOPE("native.real_space_one_sided");
   prepare(soa);
   const std::size_t n = soa.size();
-  ensure_scratch(n, 1);
-  double* tmp = tmp_.data();
+  ensure_scratch(n, 1, 1);
+  double* lanes = tmp_.data();
+  std::uint32_t* idx = idx_.data();
   ForceResult result;
   double pairs = 0.0;
 
@@ -362,7 +385,7 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
                         units::kCoulomb * qs_[slot], cb_.data() + base,
                         cc6_.data() + base, cd8_.data() + base,
                         csh_.data() + base, jb, je, slot, nullptr, nullptr,
-                        nullptr, tmp, acc);
+                        nullptr, lanes, idx, acc);
     });
     forces[id] += Vec3{acc.fx, acc.fy, acc.fz};
     result.potential += acc.pot;

@@ -1,24 +1,36 @@
 #pragma once
 
 /// \file real_kernel.hpp
-/// Vectorized real-space pair kernel of the native backend (DESIGN.md §11).
+/// Real-space pair kernel of the native backend (DESIGN.md §11).
 ///
-/// One fused sweep evaluates the erfc-damped Ewald real-space force (paper
-/// eq. 2) and, optionally, the Tosi-Fumi short-range terms (eq. 15) — the
-/// work MDGRAPE-2 performs in three separate emulated passes. The loop body
-/// is straight-line arithmetic designed to auto-vectorize:
+/// One fused evaluation computes the erfc-damped Ewald real-space force
+/// (paper eq. 2) and, optionally, the Tosi-Fumi short-range terms (eq. 15)
+/// — the work MDGRAPE-2 performs in three separate emulated passes. Unlike
+/// the hardware, which streams every candidate of the 27-cell scan through
+/// its pipelines (eq. 6), the kernel pays that math only for in-range pairs
+/// (eq. 5). Each i particle meets a contiguous j-range of cell-sorted
+/// structure-of-arrays streams in three steps:
 ///
-///  * particle data come from cell-sorted structure-of-arrays streams, so
-///    a neighbour cell's particles are unit-stride loads;
-///  * minimum image is two compare-blend corrections (positions are
-///    pre-wrapped, so |dx| < box), not a libm rounding call;
-///  * erfc/exp use the branch-free rationals of core/fastmath.hpp;
-///  * the cutoff test is a mask (forces blend to zero), not a branch;
-///  * Tosi-Fumi coefficients are per-slot streams pre-gathered per i-species
-///    row, so species lookup is a contiguous load, never a gather;
-///  * per-i sums (force, potential, virial) go through small store buffers
-///    with a separate accumulation pass, because GCC will not vectorize a
-///    floating-point reduction under strict FP semantics.
+///  * filter: minimum image (two compare-blend corrections per axis;
+///    positions are pre-wrapped, so |dx| < box), r^2 and the cutoff test
+///    over every candidate; in-range partners are packed in j order into a
+///    per-worker store (slot index in its own uint32 buffer, dx, dy, dz
+///    and r^2 in double lanes);
+///  * evaluate: erfc/exp from the rationals of core/fastmath.hpp and the
+///    Tosi-Fumi terms on the packed pairs only, overwriting the lanes with
+///    fx, fy, fz, virial and potential. Tosi-Fumi coefficients are per-slot
+///    streams pre-gathered per i-species row, so species lookup is one
+///    indexed load, never a type-pair table lookup;
+///  * sum: the Newton j-scatter and the per-i sums walk the packed pairs in
+///    j order. A masked full sweep would add exact zeros for the dropped
+///    candidates, so results do not depend on the filter.
+///
+/// The loops are scalar: GCC does not vectorize them under the build's
+/// strict FP flags (the minimum-image blend becomes a conditional subtract
+/// under -ftrapping-math, the loop needs more alias checks than it will
+/// version for, and fast_exp's double <-> int64 conversions have no SSE2
+/// form). With those removed the evaluate stage vectorizes but runs no
+/// faster, so the kernel keeps the default flags.
 ///
 /// Parallel sweeps reuse the repo's fixed-chunk discipline (CellList
 /// kPairChunks): the chunk partition depends only on the grid, j-side
@@ -92,16 +104,23 @@ class NativeRealKernel {
 
   /// Maintain the cell list (build_auto) and regather the sorted streams.
   void prepare(const SoaParticles& soa);
-  void ensure_scratch(std::size_t n, int chunks);
+
+  /// Double lanes per worker store: dx/fx, dy/fy, dz/fz, r^2/virial and
+  /// potential.
+  static constexpr std::size_t kLanes = 5;
+
+  /// Stores for `workers` concurrent pool workers, j-side buffers and
+  /// tallies for `chunks` chunks.
+  void ensure_scratch(std::size_t n, int chunks, unsigned workers);
 
   template <bool kNewton>
   void pair_range(double xi, double yi, double zi, double qi_ke,
                   const double* cb, const double* c6r, const double* d8r,
                   const double* shr, std::size_t jb, std::size_t je,
                   std::size_t skip, double* jfx, double* jfy, double* jfz,
-                  double* tmp, Acc& acc) const;
+                  double* lanes, std::uint32_t* idx, Acc& acc) const;
 
-  void run_chunk(std::size_t k, int chunks, std::size_t n);
+  void run_chunk(std::size_t k, int chunks, std::size_t n, unsigned worker);
 
   Config cfg_;
   double inv_rho_ = 0.0;
@@ -135,11 +154,14 @@ class NativeRealKernel {
     double pot = 0, vir = 0, pairs = 0;
   };
   std::vector<ChunkTally> tally_;
-  /// Per-chunk store buffers of the two-pass accumulation, 6 lanes each.
+  /// Per-worker stores of the filter/evaluate stages: kLanes double lanes
+  /// of tmp_stride_ each in tmp_, the packed slot indices in idx_.
   std::vector<double> tmp_;
+  std::vector<std::uint32_t> idx_;
   std::size_t tmp_stride_ = 0;
   std::size_t scr_slots_ = 0;
   int scr_chunks_ = 0;
+  unsigned scr_workers_ = 0;
 
   std::uint64_t last_pairs_ = 0;
 };

@@ -46,9 +46,10 @@ constexpr std::size_t kMaxRings = 1024;
 /// Lock-free ring registry: a fixed array of pointers published with a
 /// release store, so the fatal-signal handler can walk it without taking
 /// any lock. Rings are leaked on purpose (threads may record during static
-/// destruction). Once all kMaxRings slots are taken, a new thread gets the
-/// ring of an exited thread, oldest release first; the mutex guards only
-/// that hand-over (thread exit and a ring-less thread's first event).
+/// destruction). A new thread gets the ring of an exited thread, oldest
+/// release first, and a fresh ring only when none is free; the mutex
+/// guards only that hand-over (thread exit and a ring-less thread's first
+/// event).
 struct Registry {
   std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> recorded{0};
@@ -86,11 +87,25 @@ struct RingRelease {
   }
 };
 
+/// An exited thread's ring, oldest release first, or nullptr if none.
+Ring* take_released(Registry& reg) {
+  if (reg.released_count.load(std::memory_order_relaxed) == 0) return nullptr;
+  std::lock_guard lock(reg.released_mutex);
+  if (reg.released.empty()) return nullptr;
+  Ring* ring = reg.released.front();
+  reg.released.pop_front();
+  reg.released_count.store(reg.released.size(), std::memory_order_relaxed);
+  return ring;
+}
+
 Ring* local_ring() {
   if (t_ring || t_exited) return t_ring;
   auto& reg = registry();
-  Ring* ring = nullptr;
-  if (reg.count.load(std::memory_order_relaxed) < kMaxRings) {
+  // Inherit an exited thread's ring before allocating, so a process that
+  // starts and joins threads in turn keeps as many rings as it ever had
+  // live threads, not one per thread it ever ran.
+  Ring* ring = take_released(reg);
+  if (!ring && reg.count.load(std::memory_order_relaxed) < kMaxRings) {
     const std::size_t idx =
         reg.count.fetch_add(1, std::memory_order_relaxed);
     if (idx < kMaxRings) {
@@ -98,17 +113,8 @@ Ring* local_ring() {
       reg.rings[idx].store(ring, std::memory_order_release);
     }
   }
-  if (!ring) {
-    // Every slot is taken: reuse an exited thread's ring, or drop the
-    // event while every ring still has a live owner.
-    if (reg.released_count.load(std::memory_order_relaxed) == 0)
-      return nullptr;
-    std::lock_guard lock(reg.released_mutex);
-    if (reg.released.empty()) return nullptr;
-    ring = reg.released.front();
-    reg.released.pop_front();
-    reg.released_count.store(reg.released.size(), std::memory_order_relaxed);
-  }
+  // Every slot is taken and every ring has a live owner: drop the event.
+  if (!ring) return nullptr;
   t_ring = ring;
   // The main thread keeps its ring: it may still record during static
   // destruction, after its thread_local objects are gone.
@@ -354,6 +360,11 @@ void FlightRecorder::set_thread_rank(int rank) noexcept { t_rank = rank; }
 
 std::uint64_t FlightRecorder::recorded_count() noexcept {
   return registry().recorded.load(std::memory_order_relaxed);
+}
+
+std::size_t FlightRecorder::ring_count() noexcept {
+  return std::min(registry().count.load(std::memory_order_relaxed),
+                  kMaxRings);
 }
 
 std::size_t FlightRecorder::snapshot(std::vector<FlightEventView>& out) {

@@ -82,6 +82,11 @@ class FlightRecorder {
   /// Total events ever recorded (monotone; survives ring wrap).
   static std::uint64_t recorded_count() noexcept;
 
+  /// Rings allocated so far, at most 1024. An exited thread's ring is
+  /// reused before a new one is allocated, so this follows the peak number
+  /// of recording threads alive at once, not the threads ever started.
+  static std::size_t ring_count() noexcept;
+
   /// Copy out every ring, sorted by timestamp (oldest first). Events being
   /// overwritten concurrently may be dropped, never torn.
   static std::size_t snapshot(std::vector<FlightEventView>& out);

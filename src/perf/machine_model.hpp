@@ -104,7 +104,7 @@ double optimal_alpha(const MachineModel& machine, double n_particles,
 /// a different host.
 struct BackendCostModel {
   double emulator_ns_per_pair = 114.0;
-  double native_ns_per_pair = 271.0;
+  double native_ns_per_pair = 117.0;
   double emulator_ns_per_wave = 285.0;
   double native_ns_per_wave = 6.3;
 

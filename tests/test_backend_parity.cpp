@@ -256,6 +256,183 @@ TEST(BackendParity, OneSidedSweepMatchesNewtonSweep) {
   EXPECT_EQ(os.potential == 0.0, false);
 }
 
+// --- the cutoff filter: exactly the in-range pairs, nothing else ----------
+
+native::NativeRealKernel::Config kernel_config(const ParticleSystem& system,
+                                               const EwaldParameters& params) {
+  native::NativeRealKernel::Config rc;
+  rc.box = system.box();
+  rc.beta = params.alpha / system.box();
+  rc.r_cut = params.r_cut;
+  rc.include_tosi_fumi = true;
+  rc.tosi_fumi = TosiFumiParameters::nacl();
+  return rc;
+}
+
+/// Partners j != i of particle i with r^2 < r_cut^2 under the minimum
+/// image, by a plain double loop over the wrapped coordinates.
+std::uint64_t brute_partners(const native::SoaParticles& soa, std::size_t i,
+                             double r_cut) {
+  const double box = soa.box;
+  const auto image = [box](double d) { return d - box * std::round(d / box); };
+  std::uint64_t count = 0;
+  for (std::size_t j = 0; j < soa.size(); ++j) {
+    if (j == i) continue;
+    const double dx = image(soa.x[i] - soa.x[j]);
+    const double dy = image(soa.y[i] - soa.y[j]);
+    const double dz = image(soa.z[i] - soa.z[j]);
+    if (dx * dx + dy * dy + dz * dz < r_cut * r_cut) ++count;
+  }
+  return count;
+}
+
+/// Ordered in-range pairs of the first `n_i` particles (one-sided sweep);
+/// half of them over all particles is the Newton sweep's count.
+std::uint64_t brute_one_sided_pairs(const native::SoaParticles& soa,
+                                    std::size_t n_i, double r_cut) {
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < n_i; ++i)
+    count += brute_partners(soa, i, r_cut);
+  return count;
+}
+
+TEST(BackendParity, SweepCountsExactlyTheInRangePairs) {
+  // N^2 fallback (software_parameters on a small melt: < 3 cells per side)
+  // and the half stencil (mdm_parameters keeps r_cut <= L/3).
+  struct Case {
+    int cells;
+    bool n2;
+  };
+  for (const Case c : {Case{2, true}, Case{4, false}}) {
+    const auto system = melt(c.cells, 17);
+    const double n = double(system.size());
+    const EwaldParameters params =
+        c.n2 ? software_parameters(n, system.box())
+             : host::mdm_parameters(n, system.box());
+    native::SoaParticles soa;
+    soa.sync(system);
+    native::NativeRealKernel kernel(kernel_config(system, params));
+    std::vector<Vec3> forces(system.size());
+    kernel.sweep(soa, forces);
+    ASSERT_EQ(kernel.cells().use_n2_fallback(params.r_cut), c.n2);
+    if (!c.n2) {
+      ASSERT_GE(kernel.cells().cells_per_side(), 3);
+    }
+    const std::uint64_t expect =
+        brute_one_sided_pairs(soa, system.size(), params.r_cut) / 2;
+    EXPECT_GT(expect, 0u);
+    EXPECT_EQ(kernel.last_pairs(), expect) << "cells " << c.cells;
+  }
+}
+
+TEST(BackendParity, OneSidedCountsExactlyTheOwnedInRangePairs) {
+  // Owned particles are listed first; the halo tail gets no force but is
+  // a partner of the owned ones.
+  for (const int cells : {2, 4}) {
+    const auto system = melt(cells, 19);
+    const double n = double(system.size());
+    const EwaldParameters params =
+        cells == 2 ? software_parameters(n, system.box())
+                   : host::mdm_parameters(n, system.box());
+    native::SoaParticles soa;
+    soa.sync(system);
+    native::NativeRealKernel kernel(kernel_config(system, params));
+    const std::size_t owned = system.size() / 3;
+    std::vector<Vec3> forces(system.size());
+    kernel.one_sided(soa, owned, forces);
+    EXPECT_EQ(kernel.last_pairs(),
+              brute_one_sided_pairs(soa, owned, params.r_cut))
+        << "cells " << cells;
+    for (std::size_t i = owned; i < system.size(); ++i)
+      EXPECT_EQ(forces[i], Vec3{}) << i;
+  }
+}
+
+TEST(BackendParity, PairExactlyAtCutoffIsExcluded) {
+  // r_cut = 2.5 and the coordinates are exact binary fractions, so the
+  // pair (a, b) sits at r^2 == r_cut^2 with no rounding; (a, c) is just
+  // inside. Both the N^2 fallback (box 6, 2 cells per side) and the half
+  // stencil (box 10, 4 cells per side) must count only (a, c).
+  for (const double box : {6.0, 10.0}) {
+    native::NativeRealKernel::Config rc;
+    rc.box = box;
+    rc.beta = 1.0;
+    rc.r_cut = 2.5;
+    rc.include_tosi_fumi = true;
+    rc.tosi_fumi = TosiFumiParameters::nacl();
+    const std::vector<Vec3> pos = {
+        {1.0, 1.0, 1.0}, {3.5, 1.0, 1.0}, {1.0, 3.4375, 1.0}};
+    const std::vector<int> types = {0, 1, 1};
+    const std::vector<double> charge_of = {1.0, -1.0};
+    native::SoaParticles soa;
+    soa.sync(box, pos, types, charge_of);
+
+    native::NativeRealKernel kernel(rc);
+    ASSERT_EQ(kernel.cells().cells_per_side() < 3, box == 6.0);
+    std::vector<Vec3> forces(pos.size());
+    kernel.sweep(soa, forces);
+    EXPECT_EQ(kernel.last_pairs(), 1u) << "box " << box;
+    EXPECT_EQ(forces[1], Vec3{}) << "pair at r_cut contributed, box " << box;
+    EXPECT_NE(forces[2].y, 0.0);
+
+    std::vector<Vec3> os_forces(pos.size());
+    kernel.one_sided(soa, pos.size(), os_forces);
+    EXPECT_EQ(kernel.last_pairs(), 2u) << "box " << box;
+    EXPECT_EQ(os_forces[1], Vec3{});
+  }
+}
+
+TEST(BackendParity, OneSidedSkipsSelfAtEitherEndOfARange) {
+  // The N^2 fallback hands every i the range [0, n): i = 0 has its own
+  // slot first and i = n - 1 last. In cell mode every cell's first and last
+  // occupants meet themselves at the ends of their own cell's range.
+  // Counting the self slot would add a pair and a non-finite force.
+  for (const int cells : {2, 4}) {
+    const auto system = melt(cells, 23);
+    const double n = double(system.size());
+    const EwaldParameters params =
+        cells == 2 ? software_parameters(n, system.box())
+                   : host::mdm_parameters(n, system.box());
+    native::SoaParticles soa;
+    soa.sync(system);
+    const auto rc = kernel_config(system, params);
+
+    native::NativeRealKernel one_sided(rc);
+    std::vector<Vec3> os_forces(system.size());
+    one_sided.one_sided(soa, system.size(), os_forces);
+    EXPECT_EQ(one_sided.last_pairs(),
+              brute_one_sided_pairs(soa, system.size(), params.r_cut));
+
+    native::NativeRealKernel newton(rc);
+    std::vector<Vec3> nt_forces(system.size());
+    newton.sweep(soa, nt_forces);
+
+    // Particles that sit at the first or last slot of their j-range.
+    std::vector<std::size_t> ends;
+    if (newton.cells().use_n2_fallback(rc.r_cut)) {
+      ends = {0, system.size() - 1};
+    } else {
+      const auto order = newton.cells().order();
+      for (int c = 0; c < newton.cells().cell_count(); ++c) {
+        const auto r = newton.cells().cell_range(c);
+        if (r.size() == 0) continue;
+        ends.push_back(order[r.begin]);
+        ends.push_back(order[r.end - 1]);
+      }
+    }
+    ASSERT_FALSE(ends.empty());
+    for (const std::size_t id : ends) {
+      const Vec3 d = os_forces[id] - nt_forces[id];
+      ASSERT_TRUE(std::isfinite(os_forces[id].x) &&
+                  std::isfinite(os_forces[id].y) &&
+                  std::isfinite(os_forces[id].z))
+          << id;
+      EXPECT_LT(std::sqrt(norm2(d)), 1e-10 * std::sqrt(norm2(nt_forces[id])))
+          << id;
+    }
+  }
+}
+
 // --- native vs the hardware emulators (the paper's envelope) ---------------
 
 TEST(BackendParity, NativeWithinEmulatorEnvelopeOnStandardMelt) {

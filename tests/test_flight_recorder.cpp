@@ -135,6 +135,20 @@ TEST_F(FlightRecorderTest, ExitedThreadRingsAreReusedPastTheCap) {
   EXPECT_EQ(events[0].a, 7);
 }
 
+TEST_F(FlightRecorderTest, SequentialThreadsReuseReleasedRings) {
+  // Threads started and joined one at a time (one MdmParallelApp::run
+  // after another) must not allocate a ring each: every new thread
+  // inherits the ring the previous one released.
+  const std::size_t before = FlightRecorder::ring_count();
+  for (int t = 0; t < 200; ++t) {
+    std::thread([t] {
+      FlightRecorder::record(FlightKind::kNote, "fr_sequential", t);
+    }).join();
+  }
+  EXPECT_LE(FlightRecorder::ring_count(), before + 2);
+  EXPECT_EQ(events_with_label("fr_sequential").size(), 200u);
+}
+
 TEST_F(FlightRecorderTest, DisabledDropsEventsButKeepsRankLabels) {
   FlightRecorder::set_enabled(false);
   FlightRecorder::set_thread_rank(9);  // must stick while disabled
