@@ -152,11 +152,15 @@ int main(int argc, char** argv) {
     // A spec that declares analyses promises their files: treat a missing
     // output as a failed run (CI smoke asserts on this exit code). An
     // analysis whose cadence never fires legitimately writes nothing —
-    // count the production samples this process actually recorded (a
-    // resumed run only sees the tail past its checkpoint).
+    // count the production samples this process analysed (a resumed run
+    // returns the whole trajectory, but its analyses only see the tail
+    // past the resume point).
+    const int first_recorded =
+        std::max(spec.run.equilibration,
+                 static_cast<int>(result.resumed_from_step));
     int production_samples = 0;
     for (const auto& s : result.samples)
-      if (s.step > spec.run.equilibration) ++production_samples;
+      if (s.step > first_recorded) ++production_samples;
     int missing = 0;
     if (!options.output_dir.empty() && !result.cancelled) {
       for (const auto& a : spec.analyses) {

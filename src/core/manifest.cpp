@@ -118,6 +118,15 @@ JobResumeManifest read_manifest_file(const std::string& path) {
   return m;
 }
 
+std::uint64_t job_key_hash(std::string_view canonical) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (unsigned char c : canonical) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h == 0 ? 1 : h;
+}
+
 ManifestStore::ManifestStore(std::string directory, int keep_generations)
     : dir_(std::move(directory)), keep_(keep_generations) {
   if (keep_ < 1)

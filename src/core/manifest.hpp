@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -39,9 +40,14 @@ namespace mdm {
 /// Current manifest on-disk format version.
 inline constexpr std::uint32_t kManifestVersion = 1;
 
+/// FNV-1a 64 of a canonical job description — the manifest `job_key` and
+/// the fleet's shard-routing hash. Never 0 (0 means "not enforced").
+std::uint64_t job_key_hash(std::string_view canonical);
+
 /// Identity + trajectory prefix of a resumable serving job.
 struct JobResumeManifest {
-  /// Canonical job key (serve::canonical_job_hash); 0 = not enforced.
+  /// Hash of the job's canonical description (job_key_hash); 0 = not
+  /// enforced.
   std::uint64_t job_key = 0;
   std::uint64_t step = 0;        ///< step of the paired checkpoint generation
   std::uint32_t total_steps = 0; ///< protocol budget (nvt + nve)

@@ -36,12 +36,6 @@ void Simulation::set_barostat(Barostat* barostat, int interval) {
   barostat_interval_ = interval;
 }
 
-void Simulation::enable_checkpointing(CheckpointManager* manager,
-                                      int interval) {
-  checkpoint_manager_ = manager;
-  checkpoint_interval_ = interval;
-}
-
 CheckpointState Simulation::checkpoint_state() const {
   auto state = CheckpointState::capture(
       *system_, static_cast<std::uint64_t>(current_step_),
@@ -97,12 +91,10 @@ void Simulation::step_hooks(int step, bool nve) {
     health_.check_temperature(s.temperature_K, step);
     if (nve) health_.observe_energy(s.total_eV, step);
   }
-  if (checkpoint_manager_ && checkpoint_interval_ > 0 &&
-      step % checkpoint_interval_ == 0 && step > resume_step_)
-    checkpoint_manager_->write(checkpoint_state());
 }
 
-void Simulation::run(const std::function<void(const Sample&)>& observer) {
+void Simulation::run(const std::function<void(const Sample&)>& observer,
+                     const std::function<void(int)>& step_end) {
   {
     // prime() evaluates the forces once before the loop — count it as step
     // 0 so the Table-1 phase accumulators line up with the step count.
@@ -114,7 +106,10 @@ void Simulation::run(const std::function<void(const Sample&)>& observer) {
     if (resume_step_ == 0) record(0);
     obs::record_step(static_cast<double>(obs::Trace::now_ns() - t0) * 1e-6);
   }
-  if (resume_step_ == 0 && observer) observer(samples_.back());
+  if (resume_step_ == 0) {
+    if (observer) observer(samples_.back());
+    if (step_end) step_end(0);
+  }
 
   const int total = config_.nvt_steps + config_.nve_steps;
   for (int step = resume_step_ + 1; step <= total; ++step) {
@@ -135,7 +130,7 @@ void Simulation::run(const std::function<void(const Sample&)>& observer) {
       if (observer) observer(samples_.back());
     }
     if (barostat_ && step % barostat_interval_ == 0) {
-      // Before step_hooks so a checkpoint written this step captures the
+      // Before step_end so a checkpoint written this step captures the
       // post-coupling box and barostat state — the resumed run then skips
       // straight to step + 1 without replaying (or losing) this move.
       obs::ScopedPhase barostat_phase(obs::Phase::kHost);
@@ -148,6 +143,7 @@ void Simulation::run(const std::function<void(const Sample&)>& observer) {
       }
     }
     step_hooks(step, /*nve=*/!nvt_phase);
+    if (step_end) step_end(step);
     obs::record_step(static_cast<double>(obs::Trace::now_ns() - t0) * 1e-6);
   }
 }

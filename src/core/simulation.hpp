@@ -20,7 +20,6 @@
 namespace mdm {
 
 struct CheckpointState;
-class CheckpointManager;
 class Barostat;
 
 /// Thermostat used during the NVT phase. The paper's protocol is plain
@@ -66,8 +65,15 @@ class Simulation {
              SimulationConfig config);
 
   /// Run the full NVT + NVE protocol. `observer`, if set, is called after
-  /// every step with the freshly recorded state.
-  void run(const std::function<void(const Sample&)>& observer = {});
+  /// every step with the freshly recorded state. `step_end`, if set, is
+  /// called with the step number once the step is complete — after the
+  /// thermostat, the barostat coupling and the health checks — so a
+  /// checkpoint_state() taken there resumes at step + 1 without replaying
+  /// or skipping any of it; this is where checkpoints are written. A fresh
+  /// run also calls it for step 0 after priming. Either callback may throw
+  /// to stop the run.
+  void run(const std::function<void(const Sample&)>& observer = {},
+           const std::function<void(int)>& step_end = {});
 
   /// Run only `steps` of NVE (used by the energy-conservation bench).
   void run_nve(int steps,
@@ -86,12 +92,9 @@ class Simulation {
 
   /// ---- checkpoint/restart (core/checkpoint, DESIGN.md §8) ----
 
-  /// Write a rotating checkpoint into `manager` every `interval` completed
-  /// steps (0 or nullptr disables). `manager` is borrowed.
-  void enable_checkpointing(CheckpointManager* manager, int interval);
-
-  /// Snapshot the live run state (system + thermostat + progress); a fresh
-  /// Simulation restored from it continues the trajectory bit-identically.
+  /// Snapshot the live run state (system + thermostat + barostat +
+  /// progress); taken from run()'s `step_end`, a fresh Simulation restored
+  /// from it continues the trajectory bit-identically.
   CheckpointState checkpoint_state() const;
 
   /// Resume from `state`: restores positions/velocities and thermostat
@@ -113,7 +116,7 @@ class Simulation {
 
  private:
   void record(int step);
-  /// Per-step watchdog + checkpoint hooks; `nve` marks drift-checked steps.
+  /// Per-step watchdog; `nve` marks drift-checked steps.
   void step_hooks(int step, bool nve);
 
   ParticleSystem* system_;
@@ -125,8 +128,6 @@ class Simulation {
   HealthMonitor health_;
   Barostat* barostat_ = nullptr;  ///< borrowed
   int barostat_interval_ = 1;
-  CheckpointManager* checkpoint_manager_ = nullptr;  ///< borrowed
-  int checkpoint_interval_ = 0;
   int current_step_ = 0;
   int resume_step_ = 0;
 };

@@ -7,6 +7,7 @@
 #include "core/lennard_jones.hpp"
 #include "core/tosi_fumi.hpp"
 #include "ewald/ewald.hpp"
+#include "native/native_force_field.hpp"
 #include "scenario/parser.hpp"
 #include "util/random.hpp"
 #include "util/units.hpp"
@@ -102,7 +103,28 @@ LennardJonesParameters mixed_lj_parameters(const ScenarioSpec& spec) {
 
 std::unique_ptr<ForceField> build_force_field(const ScenarioSpec& spec,
                                               const ParticleSystem& system,
-                                              ThreadPool* pool) {
+                                              ThreadPool* pool,
+                                              Backend backend) {
+  const bool tosi_fumi =
+      spec.forcefield.kind != ForceFieldKind::kLennardJones;
+  if (backend == Backend::kNative) {
+    if (!tosi_fumi || !spec.forcefield.coulomb)
+      throw ScenarioError(
+          "scenario '" + spec.name + "': backend native evaluates Ewald "
+          "Coulomb + Tosi-Fumi only, not " +
+          (tosi_fumi ? std::string("coulomb = false")
+                     : to_string(spec.forcefield.kind)));
+    native::NativeForceFieldConfig nc;
+    nc.ewald = ewald_parameters(spec, system);
+    nc.tosi_fumi = spec.forcefield.kind == ForceFieldKind::kTosiFumiNaCl
+                       ? TosiFumiParameters::nacl()
+                       : TosiFumiParameters::kcl();
+    nc.tf_shift_energy = spec.forcefield.shift_energy;
+    auto field = std::make_unique<native::NativeForceField>(nc, system.box());
+    field->set_thread_pool(pool);
+    return field;
+  }
+
   auto composite = std::make_unique<CompositeForceField>();
 
   double short_range_cut = spec.forcefield.r_cut;

@@ -3,13 +3,14 @@
 /// \file builder.hpp
 /// Turn a validated ScenarioSpec into runnable pieces: the particle system
 /// (lattice or insert-N random placement), the force field (Ewald Coulomb +
-/// Tosi-Fumi, or Lorentz-Berthelot-mixed Lennard-Jones), the Simulation
-/// protocol and the barostat. The NaCl examples build through these same
-/// functions, so the bundled nacl_melt spec is the hard-coded driver —
-/// bit-for-bit.
+/// Tosi-Fumi on either backend, or Lorentz-Berthelot-mixed Lennard-Jones),
+/// the Simulation protocol and the barostat. The NaCl examples build
+/// through these same functions, so the bundled nacl_melt spec is the
+/// hard-coded driver — bit-for-bit.
 
 #include <memory>
 
+#include "core/backend.hpp"
 #include "core/barostat.hpp"
 #include "core/force_field.hpp"
 #include "core/lennard_jones.hpp"
@@ -33,11 +34,14 @@ ParticleSystem build_system(const ScenarioSpec& spec);
 EwaldParameters ewald_parameters(const ScenarioSpec& spec,
                                  const ParticleSystem& system);
 
-/// Build the composite force field. `pool` (nullable, borrowed) is handed
-/// to each pair sweep.
-std::unique_ptr<ForceField> build_force_field(const ScenarioSpec& spec,
-                                              const ParticleSystem& system,
-                                              ThreadPool* pool = nullptr);
+/// Build the force field on `backend`. kEmulator composes the software
+/// reference fields (Ewald Coulomb + Tosi-Fumi, or Lennard-Jones); kNative
+/// runs Ewald Coulomb + Tosi-Fumi through the fused native kernels and
+/// throws ScenarioError for anything else (Lennard-Jones, coulomb = false).
+/// `pool` (nullable, borrowed) is handed to each pair sweep.
+std::unique_ptr<ForceField> build_force_field(
+    const ScenarioSpec& spec, const ParticleSystem& system,
+    ThreadPool* pool = nullptr, Backend backend = Backend::kEmulator);
 
 /// Map the spec's ensemble + schedule onto the Simulation protocol:
 /// NVE runs equilibration NVT steps then production NVE steps (the paper's

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/manifest.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/logger.hpp"
 #include "obs/metrics.hpp"
@@ -219,16 +220,12 @@ JobHandle Router::submit(const JobSpec& spec) {
   PendingJob rec;
   rec.job = job;
   rec.spec = spec;
-  rec.hash = canonical_job_hash(spec);
   rec.cache_key = canonical_job_key(spec);
-  if (rec.spec.checkpoint_interval > 0) {
-    if (rec.spec.checkpoint_dir.empty() && !config_.root.empty())
-      rec.spec.checkpoint_dir =
-          config_.root + "/job-" + std::to_string(job->id());
-    // Manifests on: a fleet job must carry its trajectory prefix to be
-    // migratable with a complete, bit-identical result.
-    if (!rec.spec.checkpoint_dir.empty()) rec.spec.resume_manifest = true;
-  }
+  rec.hash = job_key_hash(rec.cache_key);
+  if (rec.spec.checkpoint_interval > 0 && rec.spec.checkpoint_dir.empty() &&
+      !config_.root.empty())
+    rec.spec.checkpoint_dir =
+        config_.root + "/job-" + std::to_string(job->id());
 
   if (config_.cache_enabled) {
     if (auto cached = cache_.lookup(rec.cache_key)) {

@@ -206,7 +206,6 @@ std::vector<char> encode_submit(std::uint64_t job_id, const JobSpec& spec) {
   w.put(static_cast<std::int32_t>(spec.backend));
   w.put(static_cast<std::int32_t>(spec.checkpoint_interval));
   put_string(w, spec.checkpoint_dir);
-  w.put(static_cast<std::uint8_t>(spec.resume_manifest ? 1 : 0));
   put_string(w, spec.scenario);
   put_string(w, spec.analysis_dir);
   return std::move(w.bytes());
@@ -216,7 +215,11 @@ void decode_submit(const Frame& frame, std::uint64_t& job_id, JobSpec& spec) {
   auto r = reader_for(frame);
   job_id = r.get<std::uint64_t>("job id");
   spec.tenant = get_string(r, "tenant");
-  spec.job_class = static_cast<JobClass>(r.get<std::int32_t>("class"));
+  const auto job_class = r.get<std::int32_t>("class");
+  if (job_class < 0 || job_class > static_cast<int>(JobClass::kBestEffort))
+    throw CheckpointError("fleet wire: submit class " +
+                          std::to_string(job_class) + " is not 0..2");
+  spec.job_class = static_cast<JobClass>(job_class);
   spec.deadline_ms = r.get<double>("deadline");
   spec.cells = r.get<std::int32_t>("cells");
   spec.nvt_steps = r.get<std::int32_t>("nvt steps");
@@ -230,10 +233,15 @@ void decode_submit(const Frame& frame, std::uint64_t& job_id, JobSpec& spec) {
   spec.accuracy_target = r.get<double>("accuracy");
   spec.pme_grid = r.get<std::int32_t>("pme grid");
   spec.pme_order = r.get<std::int32_t>("pme order");
-  spec.backend = static_cast<Backend>(r.get<std::int32_t>("backend"));
+  const auto backend = r.get<std::int32_t>("backend");
+  if (backend != static_cast<int>(Backend::kEmulator) &&
+      backend != static_cast<int>(Backend::kNative))
+    throw CheckpointError("fleet wire: submit backend " +
+                          std::to_string(backend) +
+                          " is neither emulator (0) nor native (1)");
+  spec.backend = static_cast<Backend>(backend);
   spec.checkpoint_interval = r.get<std::int32_t>("checkpoint interval");
   spec.checkpoint_dir = get_string(r, "checkpoint dir");
-  spec.resume_manifest = r.get<std::uint8_t>("resume manifest") != 0;
   spec.scenario = get_string(r, "scenario");
   spec.analysis_dir = get_string(r, "analysis dir");
 }

@@ -26,7 +26,7 @@
 
 namespace mdm::serve::fleet {
 
-inline constexpr std::uint32_t kWireVersion = 1;
+inline constexpr std::uint32_t kWireVersion = 2;
 
 enum class MsgType : std::uint16_t {
   // router -> shard
@@ -68,7 +68,8 @@ bool send_frame(int fd, MsgType type, const std::vector<char>& payload);
 /// CheckpointError on a structurally invalid frame (oversized length).
 std::optional<Frame> recv_frame(int fd);
 
-// ---- payload codecs (decode_* throw CheckpointError on malformed data) ----
+// ---- payload codecs (decode_* throw CheckpointError on malformed data:
+// truncation, and enum fields — submit class and backend — out of range) ----
 std::vector<char> encode_id(std::uint64_t id);
 std::uint64_t decode_id(const Frame& frame);
 

@@ -3,7 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "core/manifest.hpp"
 #include "obs/trace.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/parser.hpp"
 
 namespace mdm::serve {
@@ -24,54 +26,44 @@ std::string format_double(double v) {
 
 }  // namespace
 
+scenario::ScenarioSpec job_scenario(const JobSpec& spec) {
+  if (!spec.scenario.empty())
+    return scenario::parse_scenario(spec.scenario, "job scenario");
+  scenario::ScenarioSpec sc = scenario::nacl_melt_scenario(
+      spec.cells, spec.total_steps(), spec.temperature_K, spec.seed);
+  sc.run.dt_fs = spec.dt_fs;
+  sc.run.equilibration = spec.nvt_steps;
+  sc.run.production = spec.nve_steps;
+  return sc;
+}
+
 std::string canonical_job_key(const JobSpec& spec) {
-  // Physics-relevant fields only, in a fixed order with fixed formatting.
-  // Tenant / class / deadline / checkpoint placement deliberately excluded:
-  // they never change the computed trajectory.
+  // The workload's canonical scenario text (fixed section/key order, %.17g
+  // doubles), so comment/whitespace/ordering differences canonicalise away
+  // and a legacy job equals the same physics written as scenario text. An
+  // unparsable text falls back to the raw string, which still separates
+  // distinct inputs. Then the machine fields. Tenant / class / deadline /
+  // checkpoint and analysis placement are excluded: they change where and
+  // when a job runs, never what it computes.
   std::string key;
-  key.reserve(256);
-  append_kv(key, "cells", std::to_string(spec.cells));
-  append_kv(key, "nvt", std::to_string(spec.nvt_steps));
-  append_kv(key, "nve", std::to_string(spec.nve_steps));
-  append_kv(key, "T", format_double(spec.temperature_K));
-  append_kv(key, "dt", format_double(spec.dt_fs));
-  append_kv(key, "seed", std::to_string(spec.seed));
+  try {
+    key = job_scenario(spec).canonical_text();
+  } catch (const scenario::ScenarioError&) {
+    key = spec.scenario;
+  }
+  key += "\n[machine]\n";
+  append_kv(key, "backend", to_string(spec.backend));
   append_kv(key, "preal", std::to_string(spec.parallel_real));
   append_kv(key, "pwn", std::to_string(spec.parallel_wn));
   append_kv(key, "solver", spec.solver);
   append_kv(key, "acc", format_double(spec.accuracy_target));
   append_kv(key, "pmegrid", std::to_string(spec.pme_grid));
   append_kv(key, "pmeorder", std::to_string(spec.pme_order));
-  append_kv(key, "backend", std::to_string(static_cast<int>(spec.backend)));
-  if (!spec.scenario.empty()) {
-    // The *full canonical* scenario text, so two scenarios differing in any
-    // physics field — even one the flat fields above cannot express — can
-    // never share a key (and thus never collide in the fleet result cache).
-    // Canonicalising first (fixed section/key order, %.17g doubles) makes
-    // the key independent of comment/whitespace/ordering differences; an
-    // unparsable text falls back to the raw string, which still separates
-    // distinct inputs. analysis_dir stays excluded: it changes where the
-    // analysis files land, never the trajectory.
-    std::string canonical;
-    try {
-      canonical = scenario::parse_scenario(spec.scenario).canonical_text();
-    } catch (const scenario::ScenarioError&) {
-      canonical = spec.scenario;
-    }
-    append_kv(key, "scenario", canonical);
-  }
   return key;
 }
 
 std::uint64_t canonical_job_hash(const JobSpec& spec) {
-  const std::string key = canonical_job_key(spec);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  if (h == 0) h = 1;  // 0 means "not enforced" in the manifest contract
-  return h;
+  return job_key_hash(canonical_job_key(spec));
 }
 
 const char* to_string(JobState state) {

@@ -34,6 +34,7 @@
 #include "core/lattice.hpp"
 #include "core/simulation.hpp"
 #include "obs/trace_context.hpp"
+#include "scenario/spec.hpp"
 #include "util/vec3.hpp"
 
 namespace mdm::serve {
@@ -60,8 +61,8 @@ const char* to_string(JobState state);
 const char* to_string(JobClass job_class);
 bool is_terminal(JobState state);
 
-/// One simulation request: the paper's melt protocol at a caller-chosen
-/// scale (examples/nacl_melt.cpp run through the service).
+/// One simulation request: the workload (scenario text, or the paper's
+/// NaCl melt at a caller-chosen scale) plus where and how to run it.
 struct JobSpec {
   std::string tenant = "default";          ///< fair-share accounting key
   JobClass job_class = JobClass::kBatch;
@@ -70,18 +71,20 @@ struct JobSpec {
   double deadline_ms = 0.0;
 
   // ---- workload ----
-  /// Declarative scenario text (src/scenario spec grammar). Non-empty runs
-  /// the job through the scenario engine — config-driven species, ensemble
-  /// (incl. NPT) and analysis — instead of the fixed NaCl-melt fields
-  /// below, which are then ignored. The canonical job key incorporates the
-  /// *canonicalised* scenario text, so two different scenarios can never
-  /// collide in the fleet result cache.
+  /// Declarative scenario text (src/scenario spec grammar). Non-empty makes
+  /// it the job's whole workload — species, system, force field, ensemble
+  /// (incl. NPT), schedule and analysis — and the NaCl-melt fields below
+  /// are ignored: they enter neither the run nor the canonical key.
   std::string scenario;
-  /// Scenario path only: directory for analysis outputs (RDF/MSD/energy
-  /// CSVs, XYZ trajectory). Empty skips file outputs. Excluded from the
+  /// Directory for the scenario's analysis outputs (RDF/MSD/energy CSVs,
+  /// XYZ trajectory). Empty skips file outputs. Excluded from the
   /// canonical key — it changes where results land, never what is computed.
   std::string analysis_dir;
 
+  /// The legacy NaCl-melt description, used when `scenario` is empty: the
+  /// job runs scenario::nacl_melt_scenario with these values
+  /// (equilibration = nvt_steps NVT steps, production = nve_steps NVE
+  /// steps), bit-identical to examples/nacl_melt.cpp.
   int cells = 1;                  ///< n^3 NaCl supercell (8 n^3 ions)
   int nvt_steps = 4;
   int nve_steps = 4;
@@ -90,11 +93,12 @@ struct JobSpec {
   std::uint64_t seed = 1;         ///< Maxwell velocity seed
 
   // ---- backend ----
-  /// > 0 runs the job on the full MDM parallel application (MdmParallelApp:
-  /// this many real-space ranks plus parallel_wn wavenumber ranks on the
-  /// virtual MPI world) instead of the single-process software path. The
-  /// job's trace context flows into every rank thread, so one served job is
-  /// one trace across submit, queue, per-rank run phases and checkpoints.
+  /// > 0 runs a legacy (non-scenario) job on the full MDM parallel
+  /// application (MdmParallelApp: this many real-space ranks plus
+  /// parallel_wn wavenumber ranks on the virtual MPI world) instead of the
+  /// single-process scenario engine. The job's trace context flows into
+  /// every rank thread, so one served job is one trace across submit,
+  /// queue, per-rank run phases and checkpoints.
   int parallel_real = 0;
   int parallel_wn = 2;
   /// K-space solver of the parallel path: "sf" (exact structure-factor
@@ -113,33 +117,36 @@ struct JobSpec {
   Backend backend = Backend::kEmulator;
 
   // ---- checkpoint / resume (core/checkpoint, DESIGN.md §8) ----
-  /// Steps between rotating checkpoint generations; 0 disables.
+  /// Steps between rotating checkpoint generations; 0 disables. On the
+  /// single-process path every generation is a pair: the checkpoint plus a
+  /// job-resume manifest carrying the sample prefix (core/manifest,
+  /// DESIGN.md §13), so a resumed job returns its complete trajectory.
   int checkpoint_interval = 0;
   /// Explicit per-job checkpoint directory. Empty = `<service
   /// checkpoint_root>/job-<id>`. A resubmitted job pointing at the same
-  /// directory resumes from the latest valid generation.
+  /// directory resumes from the newest valid pair.
   std::string checkpoint_dir;
-  /// Write a portable job-resume manifest (core/manifest, DESIGN.md §13)
-  /// beside every checkpoint generation, and resume through
-  /// `find_resume_point` instead of `restore_latest`. A migrated job then
-  /// returns its *complete* trajectory (the manifest carries the sample
-  /// prefix), bit-identical to an uninterrupted run. The fleet path sets
-  /// this; it requires checkpoint_interval > 0 and is ignored on the
-  /// parallel (parallel_real > 0) path, which has its own checkpointing.
-  bool resume_manifest = false;
 
   long long particle_count() const { return nacl_ion_count(cells); }
   int total_steps() const { return nvt_steps + nve_steps; }
 };
 
-/// Canonical form of the *physics-relevant* JobSpec fields: two specs with
-/// the same canonical key produce bit-identical trajectories (given the same
-/// per-job thread count, which the service/fleet fixes globally). Excludes
-/// tenant, class, deadline and checkpoint placement — those change *where
-/// and when* a job runs, never *what it computes* — so the fleet result
-/// cache can serve a tenant's job from another tenant's identical run.
+/// The job's workload as one scenario: the parsed `scenario` text (throws
+/// scenario::ScenarioError when it does not parse), or the NaCl melt the
+/// legacy fields describe. A generated spec is not validated here.
+scenario::ScenarioSpec job_scenario(const JobSpec& spec);
+
+/// Canonical form of what a job computes: job_scenario(spec)'s canonical
+/// text plus the machine fields (backend, ranks, solver, accuracy, PME
+/// grid/order). Two specs with the same key produce bit-identical
+/// trajectories (given the same per-job thread count, which the
+/// service/fleet fixes globally), and a legacy job has the key of the same
+/// physics written as scenario text. Excludes tenant, class, deadline and
+/// checkpoint/analysis placement — those change *where and when* a job
+/// runs, never *what it computes* — so the fleet result cache can serve a
+/// tenant's job from another tenant's identical run.
 std::string canonical_job_key(const JobSpec& spec);
-/// FNV-1a 64-bit hash of canonical_job_key (shard routing, manifest job_key).
+/// job_key_hash of canonical_job_key (shard routing).
 std::uint64_t canonical_job_hash(const JobSpec& spec);
 
 /// Thrown by the wait-with-deadline paths (Job::wait_for,

@@ -1,30 +1,16 @@
 #include "serve/runner.hpp"
 
-#include <memory>
-#include <optional>
 #include <utility>
 
-#include "core/checkpoint.hpp"
-#include "core/manifest.hpp"
-#include "core/force_field.hpp"
 #include "core/lattice.hpp"
-#include "core/simulation.hpp"
-#include "core/tosi_fumi.hpp"
-#include "ewald/ewald.hpp"
-#include "ewald/parameters.hpp"
 #include "host/mdm_force_field.hpp"
 #include "host/parallel_app.hpp"
-#include "native/native_force_field.hpp"
 #include "perf/solver_select.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/parser.hpp"
 
 namespace mdm::serve {
 namespace {
-
-/// Thrown from the per-step observer to unwind a cancelled run; never
-/// escapes run_job.
-struct CancelledSignal {};
 
 /// The MDM parallel backend (spec.parallel_real > 0): the same workload on
 /// the full sec. 4 application — real-space + wavenumber ranks over the
@@ -93,18 +79,20 @@ JobResult run_parallel_job(const JobSpec& spec, const RunOptions& options) {
   return out;
 }
 
-/// The declarative path (spec.scenario non-empty): parse the scenario text
-/// and hand the whole run — system construction, ensemble (incl. NPT),
-/// analysis cadences — to the scenario engine. The job's pool slice, cancel
-/// flag, checkpoint placement and sample stream plug straight into
-/// ScenarioOptions, so a served scenario keeps the same cooperative-cancel
-/// and resume semantics as the fixed NaCl path.
-JobResult run_scenario_job(const JobSpec& spec, const RunOptions& options) {
-  const scenario::ScenarioSpec sc =
-      scenario::parse_scenario(spec.scenario, "job scenario");
+}  // namespace
+
+JobResult run_job(const JobSpec& spec, const RunOptions& options) {
+  if (spec.parallel_real > 0 && spec.scenario.empty())
+    return run_parallel_job(spec, options);
+
+  // Every other job is one scenario on the single-process engine, which
+  // owns checkpoint/manifest resume, the cancel drain and streaming.
+  const scenario::ScenarioSpec sc = job_scenario(spec);
+  scenario::validate(sc, "job");
 
   scenario::ScenarioOptions so;
   so.pool = options.pool;
+  so.backend = spec.backend;
   so.cancel = options.cancel;
   so.output_dir = spec.analysis_dir;
   so.on_sample = options.on_sample;
@@ -114,165 +102,16 @@ JobResult run_scenario_job(const JobSpec& spec, const RunOptions& options) {
     so.keep_generations = options.keep_generations;
     so.resume = true;
   }
+  so.checkpoint_on_cancel = options.checkpoint_on_cancel;
 
   scenario::ScenarioResult run = scenario::run_scenario(sc, so);
   JobResult out;
+  out.state = run.cancelled ? JobState::kCancelled : JobState::kCompleted;
   out.samples = std::move(run.samples);
   out.positions = std::move(run.positions);
   out.velocities = std::move(run.velocities);
+  out.completed_steps = run.completed_steps;
   out.resumed_from_step = run.resumed_from_step;
-  out.completed_steps =
-      out.samples.empty() ? 0 : out.samples.back().step;
-  out.state = run.cancelled ? JobState::kCancelled : JobState::kCompleted;
-  return out;
-}
-
-}  // namespace
-
-JobResult run_job(const JobSpec& spec, const RunOptions& options) {
-  if (!spec.scenario.empty()) return run_scenario_job(spec, options);
-  if (spec.parallel_real > 0) return run_parallel_job(spec, options);
-  auto system = make_nacl_crystal(spec.cells);
-  assign_maxwell_velocities(system, spec.temperature_K, spec.seed);
-
-  // The nacl_melt software path: Ewald Coulomb + Tosi-Fumi short range,
-  // both on the job's own pool slice. With the native backend the same
-  // physics (same parameters, shifted short range) runs through the fused
-  // vectorized kernels instead (DESIGN.md §11).
-  const EwaldParameters params =
-      software_parameters(double(system.size()), system.box());
-  std::unique_ptr<ForceField> field;
-  if (spec.backend == Backend::kNative) {
-    native::NativeForceFieldConfig nc;
-    nc.ewald = params;
-    nc.tf_shift_energy = true;
-    auto nat = std::make_unique<native::NativeForceField>(nc, system.box());
-    nat->set_thread_pool(options.pool);
-    field = std::move(nat);
-  } else {
-    auto coulomb = std::make_unique<EwaldCoulomb>(params, system.box());
-    coulomb->set_thread_pool(options.pool);
-    auto short_range = std::make_unique<TosiFumiShortRange>(
-        TosiFumiParameters::nacl(), params.r_cut, /*shift_energy=*/true);
-    short_range->set_thread_pool(options.pool);
-    auto composite = std::make_unique<CompositeForceField>();
-    composite->add(std::move(coulomb));
-    composite->add(std::move(short_range));
-    field = std::move(composite);
-  }
-
-  SimulationConfig protocol;
-  protocol.dt_fs = spec.dt_fs;
-  protocol.temperature_K = spec.temperature_K;
-  protocol.nvt_steps = spec.nvt_steps;
-  protocol.nve_steps = spec.nve_steps;
-  Simulation sim(system, *field, protocol);
-
-  JobResult out;
-  std::optional<CheckpointManager> checkpoints;
-  std::optional<ManifestStore> manifests;
-  std::vector<Sample> prefix;  // manifest mode: samples through the resume
-  const bool checkpointing =
-      spec.checkpoint_interval > 0 && !options.checkpoint_dir.empty();
-  const bool manifest_mode = checkpointing && spec.resume_manifest;
-  const std::uint64_t manifest_key =
-      manifest_mode ? (options.manifest_key != 0 ? options.manifest_key
-                                                 : canonical_job_hash(spec))
-                    : 0;
-  if (checkpointing) {
-    checkpoints.emplace(options.checkpoint_dir, options.keep_generations);
-    if (manifest_mode) {
-      manifests.emplace(options.checkpoint_dir, options.keep_generations);
-      // Resume from the newest (manifest, checkpoint) pair that validates
-      // and carries this job's canonical key; the manifest's sample prefix
-      // makes the resumed result the complete trajectory.
-      if (auto rp = find_resume_point(options.checkpoint_dir, manifest_key,
-                                      system.size());
-          rp && rp->state.step > 0) {
-        sim.restore(rp->state);
-        out.resumed_from_step = rp->state.step;
-        prefix = std::move(rp->manifest.samples);
-        while (!prefix.empty() &&
-               prefix.back().step > static_cast<int>(rp->state.step))
-          prefix.pop_back();
-      }
-      // No sim-internal checkpointing: the observer below writes the
-      // checkpoint first, then the manifest, so the newest manifest always
-      // points at an on-disk generation.
-    } else {
-      if (auto latest = checkpoints->restore_latest();
-          latest && latest->size() == system.size() && latest->step > 0) {
-        sim.restore(*latest);
-        out.resumed_from_step = latest->step;
-      }
-      sim.enable_checkpointing(&*checkpoints, spec.checkpoint_interval);
-    }
-  }
-  if (options.on_sample)
-    for (const auto& s : prefix) options.on_sample(s);
-
-  const int total = spec.total_steps();
-  std::uint64_t last_ckpt_step = out.resumed_from_step;
-  // Checkpoint + manifest at one step, composed from the observer's sample:
-  // Simulation::checkpoint_state() is stale (previous step) at observer
-  // time, so capture the system directly and stamp the sample's step/time.
-  auto write_pair = [&](const Sample& s) {
-    CheckpointState state = CheckpointState::capture(
-        system, static_cast<std::uint64_t>(s.step), s.time_ps);
-    state.thermostat = sim.thermostat().state();
-    checkpoints->write(state);
-    JobResumeManifest m;
-    m.job_key = manifest_key;
-    m.step = static_cast<std::uint64_t>(s.step);
-    m.total_steps = static_cast<std::uint32_t>(total);
-    m.samples = prefix;
-    const auto& recorded = sim.samples();
-    m.samples.insert(m.samples.end(), recorded.begin(), recorded.end());
-    manifests->write(m);
-    last_ckpt_step = m.step;
-  };
-
-  try {
-    sim.run([&](const Sample& s) {
-      out.completed_steps = s.step;
-      // Step boundary: the sample for step s is recorded, so a cancel here
-      // leaves a bit-exact trajectory prefix through s. The final step
-      // completes the job regardless.
-      if (options.on_sample) options.on_sample(s);
-      if (manifest_mode && s.step % spec.checkpoint_interval == 0 &&
-          static_cast<std::uint64_t>(s.step) > out.resumed_from_step)
-        write_pair(s);
-      if (options.cancel && s.step < total &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        if (options.checkpoint_on_cancel && checkpointing &&
-            static_cast<std::uint64_t>(s.step) > last_ckpt_step) {
-          // Drain: persist the exact cancel step so the migrated job
-          // resumes with zero recomputation. (The sim-internal interval
-          // hook never fires for a throwing step.)
-          if (manifest_mode) {
-            write_pair(s);
-          } else {
-            CheckpointState state = CheckpointState::capture(
-                system, static_cast<std::uint64_t>(s.step), s.time_ps);
-            state.thermostat = sim.thermostat().state();
-            checkpoints->write(state);
-          }
-        }
-        throw CancelledSignal{};
-      }
-    });
-    out.completed_steps = total;
-    out.state = JobState::kCompleted;
-  } catch (const CancelledSignal&) {
-    out.state = JobState::kCancelled;
-  }
-
-  out.samples = prefix;
-  out.samples.insert(out.samples.end(), sim.samples().begin(),
-                     sim.samples().end());
-  out.positions.assign(system.positions().begin(), system.positions().end());
-  out.velocities.assign(system.velocities().begin(),
-                        system.velocities().end());
   return out;
 }
 

@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file runner.hpp
-/// Executes one JobSpec: builds the NaCl system and the software force
-/// field (Ewald Coulomb + Tosi-Fumi short range, exactly the
-/// examples/nacl_melt.cpp reference path), runs the NVT+NVE protocol on the
-/// caller-provided thread-pool slice, and returns the trajectory.
+/// Executes one JobSpec. Every job without parallel ranks is one scenario
+/// (serve::job_scenario: its parsed text, or the NaCl melt its legacy
+/// fields describe) run by scenario::run_scenario on the caller-provided
+/// thread-pool slice; jobs with parallel_real > 0 run the full MDM parallel
+/// application. Returns the trajectory.
 ///
 /// This free function is the determinism anchor of the service: the
 /// scheduler workers and the serial reference runs in tests/benches call the
@@ -19,7 +20,6 @@
 /// generation on disk.
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -34,9 +34,9 @@ struct RunOptions {
   /// Cooperative cancel flag, checked at every step boundary. May be null.
   const std::atomic<bool>* cancel = nullptr;
   /// Rotating checkpoint directory; with spec.checkpoint_interval > 0 the
-  /// run writes generations there and — if the directory already holds a
-  /// valid generation for the same particle count — resumes from it
-  /// (PR 4's restore path). Empty disables checkpointing.
+  /// run writes checkpoint + manifest pairs there and — if the directory
+  /// already holds a valid pair for the same job — resumes from it and
+  /// returns the complete trajectory. Empty disables checkpointing.
   std::string checkpoint_dir;
   int keep_generations = 3;
   /// Live trajectory streaming: called with every recorded sample, in step
@@ -44,18 +44,16 @@ struct RunOptions {
   /// path delivers all samples at completion). Feeds Job::push_stream_sample
   /// for chunked result polling.
   std::function<void(const Sample&)> on_sample;
-  /// With checkpointing on: a cooperative cancel writes a checkpoint (and,
-  /// in manifest mode, a manifest) at the exact cancel step before
-  /// unwinding, so a drained shard's jobs resume with zero recomputation.
+  /// With checkpointing on: a cooperative cancel writes a pair at the
+  /// exact cancel step before unwinding, so a drained shard's jobs resume
+  /// with zero recomputation.
   bool checkpoint_on_cancel = false;
-  /// Manifest job key override (spec.resume_manifest path). 0 = computed
-  /// from canonical_job_hash(spec).
-  std::uint64_t manifest_key = 0;
 };
 
 /// Run `spec` to completion (kCompleted) or to the first observed cancel
-/// (kCancelled). Exceptions from the engine (numerical health, checkpoint
-/// I/O) propagate to the caller, which maps them to kFailed.
+/// (kCancelled). Exceptions (an invalid scenario, a backend that cannot
+/// evaluate its force field, numerical health, checkpoint I/O) propagate to
+/// the caller, which maps them to kFailed.
 JobResult run_job(const JobSpec& spec, const RunOptions& options = {});
 
 }  // namespace mdm::serve

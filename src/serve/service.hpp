@@ -49,8 +49,8 @@ struct ServiceConfig {
   /// (JobHandle::poll_samples); the fleet shard turns this on to feed
   /// chunked result polling.
   bool stream_samples = false;
-  /// Graceful drain: a cooperative cancel persists a checkpoint (and, for
-  /// resume_manifest jobs, a manifest) at the exact cancel step, so
+  /// Graceful drain: a cooperative cancel of a checkpointing job persists
+  /// a checkpoint + manifest pair at the exact cancel step, so
   /// SIGTERM-drained jobs migrate with zero recomputation.
   bool checkpoint_on_cancel = false;
 };

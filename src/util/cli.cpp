@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -52,18 +53,42 @@ std::string CommandLine::get_string(const std::string& name,
   return v ? *v : fallback;
 }
 
+namespace {
+
+/// Whole-token number parse: an empty parse, trailing characters or an
+/// out-of-range value throws std::invalid_argument naming the flag.
+template <typename T, typename Parse>
+T parse_number(const std::string& flag, const std::string& text,
+               const char* kind, Parse parse) {
+  errno = 0;
+  char* end = nullptr;
+  const T value = parse(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+    throw std::invalid_argument("--" + flag + ": '" + text + "' is not " +
+                                kind);
+  return value;
+}
+
+long long parse_int(const std::string& flag, const std::string& text) {
+  return parse_number<long long>(
+      flag, text, "an integer",
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+}
+
+}  // namespace
+
 long long CommandLine::get_int(const std::string& name,
                                long long fallback) const {
   const auto v = value(name);
   if (!v || !v->size()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return parse_int(name, *v);
 }
 
 double CommandLine::get_double(const std::string& name,
                                double fallback) const {
   const auto v = value(name);
   if (!v || !v->size()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_number<double>(name, *v, "a number", std::strtod);
 }
 
 bool CommandLine::get_bool(const std::string& name, bool fallback) const {
@@ -85,7 +110,7 @@ std::vector<long long> CommandLine::get_int_list(
     const auto piece = s.substr(pos, comma == std::string::npos
                                          ? std::string::npos
                                          : comma - pos);
-    if (!piece.empty()) out.push_back(std::strtoll(piece.c_str(), nullptr, 10));
+    if (!piece.empty()) out.push_back(parse_int(name, piece));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -22,11 +22,14 @@ class CommandLine {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Numeric values must be the whole token: `--cells abc`, `--cells 3x`
+  /// and out-of-range values throw std::invalid_argument naming the flag.
   long long get_int(const std::string& name, long long fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
-  /// Comma-separated integer list, e.g. `--sizes 512,4096`.
+  /// Comma-separated integer list, e.g. `--sizes 512,4096`; each entry is
+  /// parsed as strictly as get_int.
   std::vector<long long> get_int_list(const std::string& name,
                                       std::vector<long long> fallback) const;
 

@@ -557,8 +557,9 @@ TEST(BackendParity, CheckpointRestoreAcrossBackendSwitch) {
   auto emu = host::make_backend_force_field(Backend::kEmulator, ff_config,
                                             sys_emu.box());
   Simulation emu_run(sys_emu, *emu, protocol);
-  emu_run.enable_checkpointing(&mgr, /*interval=*/2);
-  emu_run.run();
+  emu_run.run({}, [&](int step) {
+    if (step > 0 && step % 2 == 0) mgr.write(emu_run.checkpoint_state());
+  });
   ASSERT_TRUE(fs::exists(mgr.path_for_step(4)));
   const CheckpointState ckpt = read_checkpoint_file(mgr.path_for_step(4));
 

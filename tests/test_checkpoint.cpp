@@ -42,6 +42,14 @@ std::uint64_t counter(const char* name) {
   return obs::Registry::global().counter_value(name);
 }
 
+/// Run `sim` to the end, writing a generation into `mgr` at the end of
+/// every `interval`-th step.
+void run_checkpointed(Simulation& sim, CheckpointManager& mgr, int interval) {
+  sim.run({}, [&](int step) {
+    if (step > 0 && step % interval == 0) mgr.write(sim.checkpoint_state());
+  });
+}
+
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -387,8 +395,7 @@ TEST_F(CheckpointTest, SerialRestartContinuesBitIdentically) {
   auto sys_b = initial;
   auto field_b = nacl_force_field(sys_b);
   Simulation checkpointed(sys_b, *field_b, cfg);
-  checkpointed.enable_checkpointing(&mgr, /*interval=*/2);
-  checkpointed.run();
+  run_checkpointed(checkpointed, mgr, /*interval=*/2);
   ASSERT_TRUE(fs::exists(mgr.path_for_step(4)));
 
   // Kill-and-resume: a fresh Simulation restored from the step-4 generation
@@ -451,8 +458,7 @@ TEST_F(CheckpointTest, NptMonteCarloRestartContinuesBitIdentically) {
   Simulation first_half(sys_b, *field_b, cfg);
   auto baro_b = make_barostat();
   first_half.set_barostat(&baro_b, /*interval=*/2);
-  first_half.enable_checkpointing(&mgr, /*interval=*/4);
-  first_half.run();
+  run_checkpointed(first_half, mgr, /*interval=*/4);
   const auto state = read_checkpoint_file(mgr.path_for_step(4));
   EXPECT_EQ(state.version, kCheckpointVersion);
 
@@ -509,8 +515,7 @@ TEST_F(CheckpointTest, NptBerendsenRestartContinuesBitIdentically) {
   Simulation first_half(sys_b, *field_b, cfg);
   BerendsenBarostat baro_b(1.0, 300.0, 0.05);
   first_half.set_barostat(&baro_b, /*interval=*/2);
-  first_half.enable_checkpointing(&mgr, /*interval=*/4);
-  first_half.run();
+  run_checkpointed(first_half, mgr, /*interval=*/4);
 
   auto sys_c = initial;
   auto field_c = nacl_force_field(sys_c);
@@ -558,8 +563,7 @@ TEST_F(CheckpointTest, NativeRestoreIntoLiveSimulationMatchesFreshBuild) {
   auto sys_a = initial;
   native::NativeForceField field_a(ncfg, sys_a.box());
   Simulation sim_a(sys_a, field_a, cfg);
-  sim_a.enable_checkpointing(&mgr, /*interval=*/4);
-  sim_a.run();
+  run_checkpointed(sim_a, mgr, /*interval=*/4);
   ASSERT_TRUE(fs::exists(mgr.path_for_step(4)));
 
   // Restore INTO the same live Simulation (the auto-recovery pattern) and

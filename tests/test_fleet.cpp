@@ -2,7 +2,8 @@
 /// The sharded serving fleet (DESIGN.md §13): process-isolated shards with
 /// bit-identical results vs standalone runs, streamed chunked result
 /// polling, the deterministic result cache (hits + in-flight coalescing),
-/// kill -9 failover with checkpoint-manifest resume (zero lost jobs),
+/// kill -9 failover with checkpoint-manifest resume for every job kind
+/// (zero lost jobs, complete trajectories), strict submit-frame decoding,
 /// SIGTERM graceful drain (exit 0 + rerouting), and bounded Overloaded
 /// retry with backoff.
 ///
@@ -16,13 +17,18 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/parser.hpp"
+#include "serve/fleet/wire.hpp"
 #include "serve/runner.hpp"
 
 namespace mdm::serve::fleet {
@@ -87,9 +93,10 @@ class FleetTest : public ::testing::Test {
   void SetUp() override {
     const auto* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info->name();  // "Test/param" when parameterised
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = fs::temp_directory_path() /
-           ("mdm_fleet_" + std::string(info->name()) + "_" +
-            std::to_string(::getpid()));
+           ("mdm_fleet_" + name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -105,21 +112,26 @@ class FleetTest : public ::testing::Test {
     return config;
   }
 
-  /// Block until `dir` holds a completed file with the given prefix (e.g.
+  /// Wait until `dir` holds a completed file with the given prefix (e.g.
   /// the first manifest generation of a running fleet job). Requires the
   /// final ".mdm" suffix: the atomic-write ".tmp" of an in-progress write
   /// must not count — a kill racing the rename would find no valid pair.
-  static void wait_for_file(const std::string& dir, const char* prefix) {
-    for (;;) {
-      if (fs::exists(dir))
-        for (const auto& e : fs::directory_iterator(dir)) {
-          const std::string name = e.path().filename().string();
-          if (name.rfind(prefix, 0) == 0 && name.size() > 4 &&
-              name.compare(name.size() - 4, 4, ".mdm") == 0)
-            return;
-        }
+  /// False after 60 s, so a job that never writes one fails the test
+  /// instead of hanging it.
+  static bool wait_for_file(const std::string& dir, const char* prefix) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+      std::error_code ec;
+      for (const auto& e : fs::directory_iterator(dir, ec)) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind(prefix, 0) == 0 && name.size() > 4 &&
+            name.compare(name.size() - 4, 4, ".mdm") == 0)
+          return true;
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    return false;
   }
 
   fs::path dir_;
@@ -320,16 +332,40 @@ temperature_K = 120.0
 // Failover: kill -9 mid-run loses zero jobs, results stay bit-identical.
 // ---------------------------------------------------------------------------
 
-TEST_F(FleetTest, ShardKillMigratesJobWithCheckpointResume) {
+/// Every job kind fails over the same way: the legacy melt, and each
+/// bundled spec (the param names its file) shortened to cells = 2 and 45
+/// steps. Each checkpoints every 5 steps.
+class FleetKillTest : public FleetTest,
+                      public ::testing::WithParamInterface<std::string> {
+ protected:
+  JobSpec kill_spec() const {
+    JobSpec spec = long_spec();
+    if (GetParam() != "legacy") {
+      scenario::ScenarioSpec sc = scenario::parse_scenario_file(
+          std::string(MDM_SCENARIO_DIR) + "/" + GetParam() + ".toml");
+      if (sc.system.kind == scenario::SystemKind::kLattice)
+        sc.system.cells = 2;
+      sc.run.equilibration = 30;
+      sc.run.production = 15;
+      spec = JobSpec{};
+      spec.scenario = sc.canonical_text();
+      spec.analysis_dir = (dir_ / "analysis").string();
+    }
+    spec.checkpoint_interval = 5;
+    return spec;
+  }
+};
+
+TEST_P(FleetKillTest, ShardKillMigratesJobWithCheckpointResume) {
   const std::uint64_t failovers0 = counter("fleet.failovers");
   const std::uint64_t migrated0 = counter("fleet.migrated");
+  const std::uint64_t hits0 = counter("fleet.cache.hits");
 
   FleetConfig config = fleet_config(2, 1);
   Router router(config);
   router.start();
 
-  JobSpec spec = long_spec();
-  spec.checkpoint_interval = 5;
+  const JobSpec spec = kill_spec();
   auto handle = router.submit(spec);
 
   // Deterministic placement: probe 0 of the canonical hash.
@@ -337,13 +373,13 @@ TEST_F(FleetTest, ShardKillMigratesJobWithCheckpointResume) {
       static_cast<int>(canonical_job_hash(spec) % std::uint64_t(2));
   const std::string job_dir =
       config.root + "/job-" + std::to_string(handle.id());
-  wait_for_file(job_dir, "manifest.");  // a resume pair is on disk
+  // A resume pair is on disk.
+  ASSERT_TRUE(wait_for_file(job_dir, "manifest.")) << job_dir;
   ASSERT_TRUE(router.signal_shard(victim, SIGKILL));
 
   const JobResult result = handle.wait();  // zero lost jobs: this returns
-  ASSERT_EQ(result.state, JobState::kCompleted);
+  ASSERT_EQ(result.state, JobState::kCompleted) << result.error;
   EXPECT_GT(result.resumed_from_step, 0u);
-  EXPECT_EQ(result.completed_steps, spec.total_steps());
   EXPECT_GE(counter("fleet.failovers") - failovers0, 1u);
   EXPECT_GE(counter("fleet.migrated") - migrated0, 1u);
 
@@ -351,13 +387,80 @@ TEST_F(FleetTest, ShardKillMigratesJobWithCheckpointResume) {
   // uninterrupted standalone run (manifest prefix + resumed suffix).
   JobSpec plain = spec;
   plain.checkpoint_interval = 0;
+  if (!plain.analysis_dir.empty())
+    plain.analysis_dir = (dir_ / "analysis-standalone").string();
   const JobResult reference = run_job(plain);
+  EXPECT_EQ(result.completed_steps, reference.completed_steps);
   expect_result_equal(result, reference);
+
+  // The cache holds that complete result: an identical resubmission is a
+  // hit equal to the standalone run.
+  const JobResult again = router.submit(spec).wait();
+  ASSERT_EQ(again.state, JobState::kCompleted);
+  EXPECT_EQ(counter("fleet.cache.hits") - hits0, 1u);
+  expect_result_equal(again, reference);
 
   // The supervisor restarted the dead slot.
   for (int i = 0; i < 2000 && router.alive_shards() < 2; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(router.alive_shards(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(JobKinds, FleetKillTest,
+                         ::testing::Values("legacy", "nacl_melt", "kcl_melt",
+                                           "lj_binary", "nacl_npt"),
+                         [](const auto& param) { return param.param; });
+
+// ---------------------------------------------------------------------------
+// Strict wire decode.
+// ---------------------------------------------------------------------------
+
+/// An enum field outside its range must fail the decode, naming the field:
+/// an unchecked class would index past the queue's per-class buckets.
+TEST(FleetWire, SubmitRejectsOutOfRangeClassAndBackend) {
+  // Locate each field as the first byte where two encodings that differ
+  // only there disagree (the low byte of a little-endian int32).
+  const JobSpec base;  // class batch, backend emulator
+  const auto offset_of = [&base](const JobSpec& other) {
+    const auto a = encode_submit(1, base);
+    const auto b = encode_submit(1, other);
+    std::size_t at = 0;
+    while (at < a.size() && a[at] == b[at]) ++at;
+    return at;
+  };
+  JobSpec best_effort = base;
+  best_effort.job_class = JobClass::kBestEffort;
+  JobSpec native = base;
+  native.backend = Backend::kNative;
+
+  struct Patch {
+    std::size_t at;
+    std::int32_t value;
+    const char* field;
+  };
+  for (const Patch p : {Patch{offset_of(best_effort), 3, "class"},
+                        Patch{offset_of(best_effort), -1, "class"},
+                        Patch{offset_of(native), 2, "backend"}}) {
+    Frame frame{MsgType::kSubmit, encode_submit(1, base)};
+    std::memcpy(frame.payload.data() + p.at, &p.value, sizeof p.value);
+    std::uint64_t id = 0;
+    JobSpec decoded;
+    try {
+      decode_submit(frame, id, decoded);
+      ADD_FAILURE() << p.field << " " << p.value << " decoded";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(p.field), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The unpatched frame still round-trips.
+  std::uint64_t id = 0;
+  JobSpec decoded;
+  decode_submit(Frame{MsgType::kSubmit, encode_submit(7, native)}, id,
+                decoded);
+  EXPECT_EQ(id, 7u);
+  EXPECT_EQ(decoded.backend, Backend::kNative);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,7 +481,7 @@ TEST_F(FleetTest, SigtermDrainExitsZeroAndReroutesJobs) {
       static_cast<int>(canonical_job_hash(spec) % std::uint64_t(2));
   const std::string job_dir =
       config.root + "/job-" + std::to_string(handle.id());
-  wait_for_file(job_dir, "manifest.");
+  ASSERT_TRUE(wait_for_file(job_dir, "manifest.")) << job_dir;
   ASSERT_TRUE(router.signal_shard(victim, SIGTERM));
 
   const JobResult result = handle.wait();

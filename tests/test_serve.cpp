@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "scenario/parser.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/job.hpp"
@@ -635,7 +636,6 @@ TEST_F(ServeTest, ManifestModeResumeReturnsTheCompleteTrajectory) {
   JobSpec spec = long_spec();
   spec.checkpoint_interval = 5;
   spec.checkpoint_dir = path("ckpt");
-  spec.resume_manifest = true;
   ServiceConfig config = service_config(1);
   config.checkpoint_on_cancel = true;
   {
@@ -658,13 +658,125 @@ TEST_F(ServeTest, ManifestModeResumeReturnsTheCompleteTrajectory) {
   JobSpec full = spec;
   full.checkpoint_interval = 0;
   full.checkpoint_dir.clear();
-  full.resume_manifest = false;
   const JobResult reference = run_job(full);
   ASSERT_EQ(resumed.samples.size(), reference.samples.size());
   for (std::size_t i = 0; i < resumed.samples.size(); ++i)
     expect_samples_equal(resumed.samples[i], reference.samples[i]);
   expect_vecs_equal(resumed.positions, reference.positions);
   expect_vecs_equal(resumed.velocities, reference.velocities);
+}
+
+// ---------------------------------------------------------------------------
+// One single-process path: legacy jobs are scenarios, the engine owns
+// backend choice, resume and the cancel drain.
+// ---------------------------------------------------------------------------
+
+/// A bundled spec with a short schedule and no analysis outputs.
+scenario::ScenarioSpec bundled(const char* file, int equilibration,
+                               int production) {
+  scenario::ScenarioSpec spec = scenario::parse_scenario_file(
+      std::string(MDM_SCENARIO_DIR) + "/" + file);
+  if (spec.system.kind == scenario::SystemKind::kLattice)
+    spec.system.cells = 2;
+  spec.run.equilibration = equilibration;
+  spec.run.production = production;
+  spec.analyses.clear();
+  return spec;
+}
+
+void expect_results_equal(const JobResult& a, const JobResult& b) {
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i)
+    expect_samples_equal(a.samples[i], b.samples[i]);
+  expect_vecs_equal(a.positions, b.positions);
+  expect_vecs_equal(a.velocities, b.velocities);
+}
+
+TEST_F(ServeTest, LegacyJobEqualsTheSamePhysicsAsScenarioText) {
+  for (Backend backend : {Backend::kEmulator, Backend::kNative}) {
+    SCOPED_TRACE(to_string(backend));
+    JobSpec legacy = small_spec();
+    legacy.backend = backend;
+
+    // The bundled melt, rewritten to the legacy job's size and schedule.
+    scenario::ScenarioSpec sc = bundled("nacl_melt.toml", legacy.nvt_steps,
+                                        legacy.nve_steps);
+    sc.system.seed = legacy.seed;
+    JobSpec text;
+    text.scenario = sc.canonical_text();
+    text.backend = backend;
+    text.cells = 3;  // ignored by a scenario job: not physics, not key
+    text.seed = 99;
+
+    EXPECT_EQ(canonical_job_key(legacy), canonical_job_key(text));
+    const JobResult a = run_job(legacy);
+    const JobResult b = run_job(text);
+    ASSERT_EQ(a.state, JobState::kCompleted);
+    ASSERT_EQ(b.state, JobState::kCompleted);
+    EXPECT_EQ(a.completed_steps, b.completed_steps);
+    expect_results_equal(a, b);
+  }
+}
+
+TEST_F(ServeTest, NativeBackendRejectsLennardJonesScenario) {
+  JobSpec spec;
+  spec.scenario = bundled("lj_binary.toml", 2, 2).canonical_text();
+  spec.backend = Backend::kNative;
+  SimService service(service_config(1));
+  service.start();
+  const JobResult result = service.submit(spec).wait();
+  EXPECT_EQ(result.state, JobState::kFailed);
+  EXPECT_NE(result.error.find("backend native"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("lennard-jones"), std::string::npos)
+      << result.error;
+}
+
+/// The barostat couples after the observer sees a step. A pair written at
+/// the end of that step carries the post-coupling box, so a resume neither
+/// skips nor repeats the volume move: with a drain at a barostat step and
+/// with interval pairs on the barostat cadence, the resumed NPT run is the
+/// uninterrupted one bit for bit, sample count included.
+TEST_F(ServeTest, NptResumeAtABarostatStepIsBitIdentical) {
+  scenario::ScenarioSpec sc = bundled("nacl_npt.toml", 15, 15);
+  ASSERT_EQ(sc.ensemble.barostat_interval, 10);
+  JobSpec plain;
+  plain.scenario = sc.canonical_text();
+  const JobResult reference = run_job(plain);
+  ASSERT_EQ(reference.state, JobState::kCompleted);
+  ASSERT_EQ(reference.samples.size(), 31u);
+
+  struct Case {
+    const char* name;
+    int checkpoint_interval;
+    int cancel_step;
+    bool drain;
+    std::uint64_t resume_step;  ///< a barostat step either way
+  };
+  for (const Case c : {Case{"drain", 7, 20, true, 20},
+                       Case{"interval", 10, 13, false, 10}}) {
+    SCOPED_TRACE(c.name);
+    JobSpec spec = plain;
+    spec.checkpoint_interval = c.checkpoint_interval;
+    RunOptions options;
+    options.checkpoint_dir = path(c.name);
+    options.checkpoint_on_cancel = c.drain;
+    std::atomic<bool> cancel{false};
+    options.cancel = &cancel;
+    options.on_sample = [&](const Sample& s) {
+      if (s.step == c.cancel_step) cancel.store(true);
+    };
+    const JobResult first = run_job(spec, options);
+    ASSERT_EQ(first.state, JobState::kCancelled);
+    EXPECT_EQ(first.completed_steps, c.cancel_step);
+
+    cancel.store(false);
+    options.on_sample = {};
+    const JobResult resumed = run_job(spec, options);
+    ASSERT_EQ(resumed.state, JobState::kCompleted);
+    EXPECT_EQ(resumed.resumed_from_step, c.resume_step);
+    expect_results_equal(resumed, reference);
+  }
 }
 
 TEST_F(ServeTest, HostileTenantNameStaysValidJson) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -87,6 +91,49 @@ TEST(CommandLine, IntList) {
   EXPECT_EQ(sizes[2], 32768);
   const auto fallback = cli.get_int_list("other", {1, 2});
   EXPECT_EQ(fallback.size(), 2u);
+}
+
+/// `what()` of the std::invalid_argument that `f` must throw.
+template <typename F>
+std::string rejection(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(CommandLine, RejectsMalformedNumbersNamingTheFlag) {
+  const char* argv[] = {"prog",         "--cells",     "abc",
+                        "--steps=3x",   "--huge",      "99999999999999999999",
+                        "--alpha",      "1.5e",        "--tiny=1e999",
+                        "--sizes",      "512,4k,8",    "--empty-entry=,"};
+  CommandLine cli(12, argv);
+  EXPECT_NE(rejection([&] { cli.get_int("cells", 0); }).find("--cells"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { cli.get_int("steps", 0); }).find("--steps"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { cli.get_int("huge", 0); }).find("--huge"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { cli.get_double("alpha", 0); }).find("--alpha"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { cli.get_double("tiny", 0); }).find("--tiny"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { cli.get_int_list("sizes", {}); }).find("'4k'"),
+            std::string::npos);
+  // Empty list entries are skipped, as before.
+  EXPECT_TRUE(cli.get_int_list("empty-entry", {}).empty());
+}
+
+TEST(CommandLine, AcceptsWellFormedNumbers) {
+  const char* argv[] = {"prog", "--n=-12", "--x", "2.5e-3", "--y=.5",
+                        "--list", "1,-2,3"};
+  CommandLine cli(7, argv);
+  EXPECT_EQ(cli.get_int("n", 0), -12);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 2.5e-3);
+  EXPECT_DOUBLE_EQ(cli.get_double("y", 0.0), 0.5);
+  EXPECT_EQ(cli.get_int_list("list", {}), (std::vector<long long>{1, -2, 3}));
 }
 
 }  // namespace
