@@ -18,9 +18,8 @@
 #include "util/units.hpp"
 #include "util/statistics.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   const std::size_t n = static_cast<std::size_t>(cli.get_int("particles", 64));
   const int steps = static_cast<int>(cli.get_int("steps", 100));
   const double eps = cli.get_double("softening", 0.05);
@@ -109,3 +108,5 @@ int main(int argc, char** argv) {
               "pipelines that did molten salt now do an N-body problem.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

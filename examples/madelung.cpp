@@ -18,9 +18,8 @@
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   const int cells = static_cast<int>(cli.get_int("cells", 2));
   EwaldAccuracy accuracy;
   accuracy.s1 = cli.get_double("s1", 3.6);
@@ -68,3 +67,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

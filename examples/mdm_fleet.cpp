@@ -31,9 +31,8 @@
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   apply_observability_cli(cli);
 
   const int jobs = static_cast<int>(cli.get_int("jobs", 12));
@@ -131,3 +130,5 @@ int main(int argc, char** argv) {
   std::printf("zero lost jobs: OK\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

@@ -77,9 +77,8 @@ int validate_specs(const std::vector<std::string>& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
 
   if (cli.has("validate")) {
     std::vector<std::string> args = cli.positional();
@@ -102,20 +101,21 @@ int main(int argc, char** argv) {
   if (const long threads = cli.get_int("threads", 0); threads >= 1)
     ThreadPool::set_global_threads(static_cast<unsigned>(threads));
 
+  // Schedule overrides for quick smoke runs of a production spec.
+  const long equilibration = cli.get_int("equilibration", -1);
+  const long production = cli.get_int("production", -1);
+  scenario::ScenarioOptions options;
+  options.output_dir = cli.get_string("out", "");
+  options.checkpoint_dir = cli.get_string("checkpoint-dir", "");
+  options.checkpoint_interval =
+      static_cast<int>(cli.get_int("checkpoint-every", 0));
+  options.resume = cli.get_bool("resume");
+
   try {
     scenario::ScenarioSpec spec = scenario::parse_scenario_file(spec_path);
-    // Schedule overrides for quick smoke runs of a production spec.
-    if (const long e = cli.get_int("equilibration", -1); e >= 0)
-      spec.run.equilibration = static_cast<int>(e);
-    if (const long p = cli.get_int("production", -1); p >= 0)
-      spec.run.production = static_cast<int>(p);
-
-    scenario::ScenarioOptions options;
-    options.output_dir = cli.get_string("out", "");
-    options.checkpoint_dir = cli.get_string("checkpoint-dir", "");
-    options.checkpoint_interval =
-        static_cast<int>(cli.get_int("checkpoint-every", 0));
-    options.resume = cli.get_bool("resume");
+    if (equilibration >= 0)
+      spec.run.equilibration = static_cast<int>(equilibration);
+    if (production >= 0) spec.run.production = static_cast<int>(production);
 
     std::printf("scenario '%s' (%s): %zu species, %s/%s ensemble, "
                 "%d + %d steps\n",
@@ -179,3 +179,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

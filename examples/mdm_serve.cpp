@@ -52,9 +52,8 @@ void on_sigterm(int) { g_drain = 1; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   apply_observability_cli(cli);
   if (const long t = cli.get_int("threads", 0); t >= 1)
     ThreadPool::set_global_threads(static_cast<unsigned>(t));
@@ -190,3 +189,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

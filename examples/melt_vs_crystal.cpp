@@ -81,8 +81,7 @@ Diagnostics run_phase(int cells, double temperature, int steps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CommandLine cli(argc, argv);
+static int cli_main(const mdm::CommandLine& cli) {
   const int cells = static_cast<int>(cli.get_int("cells", 3));
   const int steps = static_cast<int>(cli.get_int("steps", 200));
 
@@ -118,3 +117,5 @@ int main(int argc, char** argv) {
               "particle runs this machine was built for (secs. 1, 6.2).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

@@ -26,9 +26,8 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   // Size the global pool before anything touches it (same effect as
   // MDM_THREADS, but scriptable per invocation).
   if (const long threads = cli.get_int("threads", 0); threads >= 1)
@@ -106,3 +105,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

@@ -36,18 +36,16 @@
 
 #include <string>
 
-#include "host/mdm_force_field.hpp"
+#include "core/checkpoint.hpp"
 #include "host/parallel_app.hpp"
-#include "perf/solver_select.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/parallel.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   // Size the global pool before anything touches it (same effect as
   // MDM_THREADS, but scriptable per invocation).
   if (const long threads = cli.get_int("threads", 0); threads >= 1)
@@ -55,26 +53,29 @@ int main(int argc, char** argv) {
   const int cells = static_cast<int>(cli.get_int("cells", 2));
 
   // The workload as a declarative scenario (src/scenario): the shared NaCl
-  // helper builds the crystal + velocities, and the parallel bridge maps
-  // the spec's protocol/physics onto ParallelAppConfig.
+  // helper builds the crystal + velocities, and the parallel bridge
+  // resolves the machine the flags name as run_scenario does.
   scenario::ScenarioSpec spec =
       scenario::nacl_melt_scenario(cells, /*steps=*/12, 1200.0, /*seed=*/42);
   spec.run.equilibration = static_cast<int>(cli.get_int("nvt", 6));
   spec.run.production = static_cast<int>(cli.get_int("nve", 6));
   auto system = scenario::build_system(spec);
 
-  host::ParallelAppConfig config;
-  scenario::apply_to_parallel_app(spec, config);
-  config.real_processes = static_cast<int>(
+  scenario::Machine machine;
+  machine.backend = backend_from_string(cli.get_string("backend", "emulator"));
+  machine.real_ranks = static_cast<int>(
       cli.get_int("real-ranks", cli.get_int("real", 16)));
-  config.wn_processes = static_cast<int>(
+  machine.kspace_ranks = static_cast<int>(
       cli.get_int("kspace-ranks", cli.get_int("wn", 8)));
+  machine.solver = cli.get_string("solver", "sf");
+  machine.accuracy_target = cli.get_double("accuracy", 5e-4);
+  machine.pme_grid = static_cast<int>(cli.get_int("pme-grid", 0));
+  machine.pme_order = static_cast<int>(cli.get_int("pme-order", 6));
+  host::ParallelAppConfig config =
+      scenario::parallel_app_config(spec, machine, system);
   config.domain_nx = static_cast<int>(cli.get_int("nx", 0));
   config.domain_ny = static_cast<int>(cli.get_int("ny", 0));
   config.domain_nz = static_cast<int>(cli.get_int("nz", 0));
-  // The machine preset, not the spec's software alpha: its higher alpha
-  // keeps r_cut <= L/3, which the MDGRAPE cell-index scan requires.
-  config.ewald = host::mdm_parameters(double(system.size()), system.box());
   config.mdgrape_boards_per_process =
       static_cast<int>(cli.get_int("boards", 2));
   config.wine_boards_per_process = 1;
@@ -83,30 +84,11 @@ int main(int argc, char** argv) {
   config.checkpoint_dir = cli.get_string(
       "checkpoint-dir", config.checkpoint_interval > 0 ? "ckpt" : "");
   config.checkpoint_keep = static_cast<int>(cli.get_int("checkpoint-keep", 3));
-  config.restore_path = cli.get_string("restore", "");
+  const std::string restore = cli.get_string("restore", "");
   config.auto_recover = cli.get_bool("recover");
-  config.backend = backend_from_string(cli.get_string("backend", "emulator"));
-
-  // K-space solver: explicit sf/pme, or the perf-model pick (DESIGN.md §12).
-  config.pme.order = static_cast<int>(cli.get_int("pme-order", 6));
-  config.pme.grid = static_cast<int>(cli.get_int("pme-grid", 0));
-  if (config.pme.grid <= 0)
-    config.pme.grid = perf::recommended_pme_mesh(config.ewald,
-                                                 config.pme.order);
-  const std::string solver = cli.get_string("solver", "sf");
-  if (solver == "auto") {
-    const auto pick = perf::recommended_app_solver(
-        perf::SolverCostModel{}, double(system.size()), system.box(),
-        config.ewald, host::resolved_pme(config),
-        cli.get_double("accuracy", 5e-4));
-    config.kspace_solver = pick == perf::KspaceMethod::kPme
-                               ? host::KspaceSolver::kPme
-                               : host::KspaceSolver::kStructureFactor;
+  if (machine.solver == "auto")
     std::printf("--solver auto: perf model picked %s\n",
-                perf::to_string(pick));
-  } else {
-    config.kspace_solver = host::kspace_solver_from_string(solver);
-  }
+                host::to_string(config.kspace_solver));
 
   std::printf("MDM parallel application: %d real-space + %d wavenumber "
               "processes, N=%zu, backend=%s, k-space=%s\n",
@@ -128,10 +110,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   Timer timer;
-  host::MdmParallelApp app(config);
   host::ParallelRunResult result;
   try {
-    result = app.run(system);
+    if (!restore.empty()) config.restore = read_checkpoint_file(restore);
+    result = host::MdmParallelApp(config).run(system);
   } catch (const std::exception& e) {
     // A failed rank (injected or real) surfaces here as the original error
     // instead of a hung world.
@@ -152,3 +134,5 @@ int main(int argc, char** argv) {
               std::size_t(config.real_processes + config.wn_processes));
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

@@ -13,10 +13,9 @@
 #include "perf/table4.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
   using namespace mdm::perf;
-  const CommandLine cli(argc, argv);
 
   PaperWorkload workload;
   workload.n_particles = cli.get_double("n", 18821096.0);
@@ -74,3 +73,5 @@ int main(int argc, char** argv) {
               min_flops / timing.total_seconds() / 1e12, min_flops);
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

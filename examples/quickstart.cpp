@@ -13,9 +13,8 @@
 #include "host/mdm_force_field.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   const int cells = static_cast<int>(cli.get_int("cells", 2));
   const double temperature = cli.get_double("temperature", 1200.0);
 
@@ -61,3 +60,5 @@ int main(int argc, char** argv) {
                   machine.wine_wave_particle_operations()));
   return 0;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

@@ -119,9 +119,8 @@ int run_merge(const mdm::CommandLine& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(const mdm::CommandLine& cli) {
   using namespace mdm;
-  const CommandLine cli(argc, argv);
   if (cli.has("merge")) return run_merge(cli);
   apply_observability_cli(cli);
   const int cells = static_cast<int>(cli.get_int("cells", 6));
@@ -174,3 +173,5 @@ int main(int argc, char** argv) {
                  breakdown.coverage());
   return ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return mdm::run_cli(argc, argv, cli_main); }

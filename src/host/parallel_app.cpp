@@ -54,6 +54,24 @@ struct WnRec {
 };
 static_assert(std::is_trivially_copyable_v<WnRec>);
 
+/// Thrown by the first real rank to see the cancel flag.
+class ParallelCancelled : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Rank 0's record of the run; it outlives the epochs (recovery rewinds it).
+struct Progress {
+  std::vector<Sample> samples;
+  int completed_step = 0;
+  int streamed_step = -1;
+
+  void rewind_to(int step) {
+    std::erase_if(samples, [step](const Sample& s) { return s.step > step; });
+    completed_step = step;
+  }
+};
+
 /// Immutable data shared by all ranks (read-only after construction).
 struct Shared {
   ParallelAppConfig config;
@@ -73,6 +91,7 @@ struct Shared {
   // so the mutation is race-free.
   int start_step = 0;                      ///< resume after this step
   CheckpointManager* checkpoint = nullptr; ///< not owned; may be null
+  Progress* progress = nullptr;            ///< written by rank 0 only
 };
 
 /// Cooperative cancel, polled by every real rank at each step boundary. The
@@ -455,6 +474,7 @@ class RealProcess {
         thermostat();
       check_health(step);
       if (step % cfg.sample_interval == 0) record_sample(step);
+      if (rank() == 0) shared_.progress->completed_step = step;
       maybe_checkpoint(step);
     }
     obs::FlightRecorder::record(obs::FlightKind::kPhase, "gather",
@@ -465,7 +485,6 @@ class RealProcess {
     final_state = gather_state();
   }
 
-  std::vector<Sample> samples;  // rank 0 only
   CheckpointState final_state;  // rank 0 only: positions/velocities by id
 
  private:
@@ -646,7 +665,12 @@ class RealProcess {
     s.potential_eV = potential_rs + wn_energy_ + shared_.self_energy +
                      shared_.background_energy;
     s.total_eV = s.kinetic_eV + s.potential_eV;
-    samples.push_back(s);
+    Progress& progress = *shared_.progress;
+    progress.samples.push_back(s);
+    if (shared_.config.on_sample && step > progress.streamed_step) {
+      shared_.config.on_sample(s);
+      progress.streamed_step = step;
+    }
     // Global watchdog checks run on rank 0, which alone sees the reduced
     // quantities; a violation poisons the fabric like any rank failure and
     // surfaces from World::run as SimulationHealthError.
@@ -681,6 +705,7 @@ class RealProcess {
       state.box = shared_.box;
       state.species = shared_.species;
       mgr->write(state);
+      if (shared_.config.on_checkpoint) shared_.config.on_checkpoint(state);
     }
     // The barrier makes the checkpoint an epoch barrier: no real rank
     // enters step+1 until the generation is durably on disk. Without it a
@@ -799,6 +824,8 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
     ckpt_mgr = std::make_unique<CheckpointManager>(config_.checkpoint_dir,
                                                    config_.checkpoint_keep);
   shared.checkpoint = ckpt_mgr.get();
+  Progress progress;
+  shared.progress = &progress;
 
   const auto apply_state = [&shared](const CheckpointState& state) {
     if (state.size() != shared.n_particles)
@@ -809,6 +836,7 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
     if (state.box != shared.box)
       throw CheckpointError("checkpoint box mismatch");
     shared.start_step = static_cast<int>(state.step);
+    shared.progress->rewind_to(shared.start_step);
     for (std::size_t i = 0; i < shared.n_particles; ++i) {
       auto& p = shared.initial[i];
       if (!state.types.empty()) p.type = state.types[i];
@@ -817,10 +845,15 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
       p.force = Vec3{};
     }
   };
-  if (!config_.restore_path.empty())
-    apply_state(read_checkpoint_file(config_.restore_path));
+  if (config_.restore) apply_state(*config_.restore);
 
   ParallelRunResult result;
+  const auto finish = [&](int step) {
+    progress.rewind_to(step);
+    result.samples = std::move(progress.samples);
+    result.completed_steps = step;
+    return std::move(result);
+  };
   vmpi::World world(config_.real_processes + config_.wn_processes);
   if (shared.injector) world.set_fault_injector(shared.injector);
 
@@ -845,15 +878,15 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
         RealProcess proc(shared, comm, std::move(engines));
         proc.main();
         if (comm.rank() == 0) {  // only rank 0 writes the result
-          result.samples = std::move(proc.samples);
           result.positions = std::move(proc.final_state.positions);
           result.velocities = std::move(proc.final_state.velocities);
         }
       });
-      return result;
+      return finish(shared.total_steps);
     } catch (const ParallelCancelled&) {
       // A cancel is a request, not a failure: no recovery, no dump.
-      throw;
+      result.cancelled = true;
+      return finish(progress.completed_step);
     } catch (const SimulationHealthError& e) {
       dump_flight(config_, "health");
       // Deterministic numerical garbage: resuming would reproduce it, so
@@ -868,10 +901,9 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
           result.halted_on_health = true;
           result.health_message = e.what();
           result.restored_from_step = state->step;
-          result.samples.clear();
           result.positions = std::move(state->positions);
           result.velocities = std::move(state->velocities);
-          return result;
+          return finish(static_cast<int>(state->step));
         }
       }
       throw;

@@ -19,11 +19,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/checkpoint.hpp"
 #include "core/health.hpp"
 #include "core/particle_system.hpp"
 #include "core/simulation.hpp"
@@ -38,14 +40,6 @@ class FaultInjector;
 }
 
 namespace mdm::host {
-
-/// Raised out of MdmParallelApp::run when the caller's cancel flag was
-/// observed at a step boundary. Never triggers auto-recovery: a cancel is a
-/// request, not a failure.
-class ParallelCancelled : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// K-space solver run by the wavenumber processes (DESIGN.md §12).
 /// kStructureFactor is the paper's WINE-2 / native-DFT path; kPme runs the
@@ -108,7 +102,7 @@ struct ParallelAppConfig {
   std::string checkpoint_dir;  ///< empty = checkpointing disabled
   int checkpoint_interval = 0; ///< steps between checkpoints (0 = off)
   int checkpoint_keep = 3;     ///< generations kept on disk
-  std::string restore_path;    ///< start from this checkpoint file
+  std::optional<CheckpointState> restore;  ///< start after restore->step
   bool auto_recover = false;   ///< restore + resume after a rank failure
   int max_recoveries = 1;      ///< in-run recovery budget
   HealthConfig health{};       ///< per-step numerical-health watchdog
@@ -117,16 +111,27 @@ struct ParallelAppConfig {
   bool rollback_on_health_error = false;
 
   /// Cooperative cancel flag (not owned; may be null), checked by every
-  /// real rank at each step boundary. When observed, the run unwinds with
-  /// ParallelCancelled — the serve runner maps it to kCancelled.
+  /// real rank at each step boundary. When observed, the run returns what
+  /// rank 0 recorded so far, `cancelled` set (never an auto-recovery).
   const std::atomic<bool>* cancel = nullptr;
+
+  /// Rank-0 hooks. on_sample sees each recorded sample once, in step order,
+  /// recoveries included; on_checkpoint runs after each generation is
+  /// durably written, before the epoch barrier.
+  std::function<void(const Sample&)> on_sample;
+  std::function<void(const CheckpointState&)> on_checkpoint;
 };
 
 struct ParallelRunResult {
+  /// Every sample through completed_steps; an in-run recovery keeps the
+  /// failed attempt's samples up to the restored step.
   std::vector<Sample> samples;
-  /// Final positions/velocities indexed by original particle id.
+  /// Final positions/velocities indexed by original particle id (none when
+  /// cancelled).
   std::vector<Vec3> positions;
   std::vector<Vec3> velocities;
+  bool cancelled = false;
+  int completed_steps = 0;  ///< last step rank 0 completed
 
   // Checkpoint/restart bookkeeping (DESIGN.md §8).
   int recoveries = 0;  ///< successful in-run restores after rank failures

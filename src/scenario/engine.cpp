@@ -1,11 +1,13 @@
 #include "scenario/engine.hpp"
 
+#include <cstdio>
 #include <optional>
 
 #include "core/checkpoint.hpp"
 #include "core/manifest.hpp"
 #include "scenario/analysis.hpp"
 #include "scenario/builder.hpp"
+#include "scenario/parallel.hpp"
 
 namespace mdm::scenario {
 
@@ -13,43 +15,46 @@ namespace {
 struct CancelledSignal {};
 }  // namespace
 
+std::string run_key(const std::string& spec_text, const Machine& machine) {
+  char accuracy[32];
+  std::snprintf(accuracy, sizeof accuracy, "%.17g", machine.accuracy_target);
+  return spec_text + "\n[machine]\nbackend=" + to_string(machine.backend) +
+         ";preal=" + std::to_string(machine.real_ranks) +
+         ";pwn=" + std::to_string(machine.kspace_ranks) +
+         ";solver=" + machine.solver + ";acc=" + accuracy +
+         ";pmegrid=" + std::to_string(machine.pme_grid) +
+         ";pmeorder=" + std::to_string(machine.pme_order) + ";";
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const ScenarioOptions& options) {
   ParticleSystem system = build_system(spec);
-  auto field =
-      build_force_field(spec, system, options.pool, options.backend);
-  auto barostat = build_barostat(spec);
-
-  Simulation sim(system, *field, build_protocol(spec));
-  if (barostat)
-    sim.set_barostat(barostat.get(), spec.ensemble.barostat_interval);
-
   const int equilibration = spec.run.equilibration;
   const int total = equilibration + spec.run.production;
 
   ScenarioResult out;
   std::optional<CheckpointManager> checkpoints;
   std::optional<ManifestStore> manifests;
+  std::optional<CheckpointState> resume_state;
   // Manifest identity: what this run computes. A directory holding another
-  // spec's (or backend's) pairs is never resumed.
+  // spec's (or machine's) pairs is never resumed.
   std::uint64_t job_key = 0;
   const bool checkpointing =
       options.checkpoint_interval > 0 && !options.checkpoint_dir.empty();
   if (checkpointing) {
     checkpoints.emplace(options.checkpoint_dir, options.keep_generations);
     manifests.emplace(options.checkpoint_dir, options.keep_generations);
-    job_key = job_key_hash(spec.canonical_text() + "backend=" +
-                           to_string(options.backend));
+    job_key = job_key_hash(run_key(spec.canonical_text(), options.machine));
     if (options.resume) {
       if (auto rp = find_resume_point(options.checkpoint_dir, job_key,
                                       system.size());
           rp && rp->state.step > 0) {
-        sim.restore(rp->state);
         out.resumed_from_step = rp->state.step;
         out.samples = std::move(rp->manifest.samples);
         while (!out.samples.empty() &&
                out.samples.back().step > static_cast<int>(rp->state.step))
           out.samples.pop_back();
+        resume_state = std::move(rp->state);
       }
     }
   }
@@ -59,17 +64,60 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
 
   // Checkpoint first, then the manifest naming it, so the newest manifest
   // always points at an on-disk generation.
+  auto write_manifest = [&](std::uint64_t step,
+                            const std::vector<Sample>& tail) {
+    JobResumeManifest m;
+    m.job_key = job_key;
+    m.step = step;
+    m.total_steps = static_cast<std::uint32_t>(total);
+    m.samples = out.samples;
+    m.samples.insert(m.samples.end(), tail.begin(), tail.end());
+    manifests->write(m);
+  };
+
+  if (options.machine.real_ranks > 0) {
+    // The parallel engine: the app writes each generation and its hook the
+    // manifest, before the ranks move on. Analyses need the configuration
+    // at every sample, which stays spread over the ranks.
+    host::ParallelAppConfig config =
+        parallel_app_config(spec, options.machine, system);
+    config.cancel = options.cancel;
+    config.restore = std::move(resume_state);
+    config.on_sample = [&](const Sample& s) {
+      out.samples.push_back(s);
+      if (options.on_sample) options.on_sample(s);
+    };
+    if (checkpointing) {
+      config.checkpoint_dir = options.checkpoint_dir;
+      config.checkpoint_interval = options.checkpoint_interval;
+      config.checkpoint_keep = options.keep_generations;
+      config.on_checkpoint = [&](const CheckpointState& state) {
+        write_manifest(state.step, {});
+      };
+    }
+    host::ParallelRunResult run = host::MdmParallelApp(config).run(system);
+    out.cancelled = run.cancelled;
+    out.completed_steps = run.completed_steps;
+    out.final_box_A = system.box();
+    if (!spec.analyses.empty())
+      out.analysis_report = "analyses skipped on the parallel engine\n";
+    out.positions = std::move(run.positions);
+    out.velocities = std::move(run.velocities);
+    return out;
+  }
+
+  auto field = build_force_field(spec, system, options.pool,
+                                 options.machine.backend);
+  auto barostat = build_barostat(spec);
+  Simulation sim(system, *field, build_protocol(spec));
+  if (barostat)
+    sim.set_barostat(barostat.get(), spec.ensemble.barostat_interval);
+  if (resume_state) sim.restore(*resume_state);
+
   int last_pair_step = out.completed_steps;
   auto write_pair = [&](int step) {
     checkpoints->write(sim.checkpoint_state());
-    JobResumeManifest m;
-    m.job_key = job_key;
-    m.step = static_cast<std::uint64_t>(step);
-    m.total_steps = static_cast<std::uint32_t>(total);
-    m.samples = out.samples;
-    m.samples.insert(m.samples.end(), sim.samples().begin(),
-                     sim.samples().end());
-    manifests->write(m);
+    write_manifest(static_cast<std::uint64_t>(step), sim.samples());
     last_pair_step = step;
   };
 

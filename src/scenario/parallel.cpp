@@ -1,21 +1,16 @@
 #include "scenario/parallel.hpp"
 
 #include "core/tosi_fumi.hpp"
+#include "host/mdm_force_field.hpp"
+#include "perf/solver_select.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/parser.hpp"
 
 namespace mdm::scenario {
 
-bool parallel_expressible(const ScenarioSpec& spec) {
-  return spec.system.kind == SystemKind::kLattice &&
-         spec.forcefield.kind != ForceFieldKind::kLennardJones &&
-         spec.forcefield.coulomb &&
-         spec.ensemble.kind != EnsembleKind::kNpt &&
-         spec.ensemble.thermostat == ThermostatKind::kVelocityScaling;
-}
-
-void apply_to_parallel_app(const ScenarioSpec& spec,
-                           host::ParallelAppConfig& config) {
+host::ParallelAppConfig parallel_app_config(const ScenarioSpec& spec,
+                                            const Machine& machine,
+                                            const ParticleSystem& system) {
   if (spec.system.kind != SystemKind::kLattice)
     throw ScenarioError(
         "parallel runs need a lattice system (random placement does not "
@@ -33,20 +28,43 @@ void apply_to_parallel_app(const ScenarioSpec& spec,
     throw ScenarioError(
         "parallel runs support the velocity-scaling thermostat only");
 
+  host::ParallelAppConfig config;
+  config.real_processes = machine.real_ranks;
+  config.wn_processes = machine.kspace_ranks > 0 ? machine.kspace_ranks : 1;
+  config.backend = machine.backend;
   config.protocol = build_protocol(spec);
-  const double box = spec.system.cells * spec.system.lattice_constant;
-  const double n =
-      8.0 * spec.system.cells * spec.system.cells * spec.system.cells;
-  EwaldParameters params =
-      spec.forcefield.alpha > 0.0
-          ? parameters_from_alpha(spec.forcefield.alpha, box)
-          : software_parameters(n, box);
-  if (spec.forcefield.r_cut > 0.0) params.r_cut = spec.forcefield.r_cut;
-  config.ewald = clamp_to_box(params, box);
   config.include_tosi_fumi = true;
   config.tosi_fumi = spec.forcefield.kind == ForceFieldKind::kTosiFumiNaCl
                          ? TosiFumiParameters::nacl()
                          : TosiFumiParameters::kcl();
+
+  const double n = static_cast<double>(system.size());
+  const double box = system.box();
+  EwaldParameters ewald =
+      spec.forcefield.alpha > 0.0
+          ? parameters_from_alpha(spec.forcefield.alpha, box)
+          : host::mdm_parameters(n, box);
+  if (spec.forcefield.r_cut > 0.0) ewald.r_cut = spec.forcefield.r_cut;
+  config.ewald = clamp_to_box(ewald, box);
+
+  // K-space solver selection (DESIGN.md §12): explicit sf/pme, or the perf
+  // model's pick at the accuracy target.
+  config.pme.order = machine.pme_order;
+  config.pme.grid = machine.pme_grid > 0
+                        ? machine.pme_grid
+                        : perf::recommended_pme_mesh(config.ewald,
+                                                     config.pme.order);
+  if (machine.solver == "auto")
+    config.kspace_solver =
+        perf::recommended_app_solver(perf::SolverCostModel{}, n, box,
+                                     config.ewald, host::resolved_pme(config),
+                                     machine.accuracy_target) ==
+                perf::KspaceMethod::kPme
+            ? host::KspaceSolver::kPme
+            : host::KspaceSolver::kStructureFactor;
+  else
+    config.kspace_solver = host::kspace_solver_from_string(machine.solver);
+  return config;
 }
 
 }  // namespace mdm::scenario

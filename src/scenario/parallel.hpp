@@ -8,18 +8,18 @@
 /// silently dropping spec features (NPT box changes do not decompose).
 
 #include "host/parallel_app.hpp"
-#include "scenario/spec.hpp"
+#include "scenario/engine.hpp"
 
 namespace mdm::scenario {
 
-/// True when the spec can run through MdmParallelApp.
-bool parallel_expressible(const ScenarioSpec& spec);
-
-/// Fill `config`'s physics fields (protocol, Ewald, Tosi-Fumi) from the
-/// spec. Topology/backend/fault knobs are left to the caller. Throws
-/// ScenarioError naming the unsupported feature when the spec cannot run
-/// on the parallel machine; build the system with build_system(spec).
-void apply_to_parallel_app(const ScenarioSpec& spec,
-                           host::ParallelAppConfig& config);
+/// The app configuration that runs `spec` on `machine` for `system` (from
+/// build_system(spec)): the Ewald alpha / r_cut of the spec, else
+/// host::mdm_parameters (the MDGRAPE cell index needs r_cut <= L/3); the
+/// recommended PME mesh for grid 0; the perf model's pick for solver
+/// "auto". Boards, domain grid, checkpointing and hooks are left to the
+/// caller. Throws ScenarioError naming the unsupported feature.
+host::ParallelAppConfig parallel_app_config(const ScenarioSpec& spec,
+                                            const Machine& machine,
+                                            const ParticleSystem& system);
 
 }  // namespace mdm::scenario

@@ -1,30 +1,42 @@
 #include "serve/admission.hpp"
 
+#include "scenario/parser.hpp"
+
 namespace mdm::serve {
 
 std::size_t AdmissionController::estimate_bytes(const JobSpec& spec) {
+  long long n = spec.particle_count();
+  try {
+    const scenario::ScenarioSpec sc = job_scenario(spec);
+    if (sc.system.kind == scenario::SystemKind::kLattice) {
+      n = nacl_ion_count(sc.system.cells);
+    } else {
+      n = 0;
+      for (const auto& s : sc.species) n += s.count;
+    }
+  } catch (const scenario::ScenarioError&) {
+    // Keep the legacy size: the runner fails this job with the parse error.
+  }
   // Per particle: positions/velocities/forces + integrator and checkpoint
   // copies + cell-list slots + per-chunk scratch — call it 1 KiB, a
   // deliberate over-estimate. Plus a fixed 4 MiB per job for the k-vector
   // table, phase scratch and sample storage.
-  const auto n = static_cast<std::size_t>(spec.particle_count());
-  return n * 1024 + (std::size_t(4) << 20);
+  return static_cast<std::size_t>(n) * 1024 + (std::size_t(4) << 20);
 }
 
 AdmissionController::Decision AdmissionController::decide(
-    const JobSpec& spec, std::size_t queue_depth) const {
+    std::size_t bytes, std::size_t queue_depth) const {
   if (queue_depth >= config_.max_queue_depth) return Decision::kQueueFull;
-  if (inflight_bytes_ + estimate_bytes(spec) > config_.max_inflight_bytes)
+  if (inflight_bytes_ + bytes > config_.max_inflight_bytes)
     return Decision::kMemoryBudget;
   return Decision::kAdmit;
 }
 
-void AdmissionController::acquire(const JobSpec& spec) {
-  inflight_bytes_ += estimate_bytes(spec);
+void AdmissionController::acquire(std::size_t bytes) {
+  inflight_bytes_ += bytes;
 }
 
-void AdmissionController::release(const JobSpec& spec) {
-  const std::size_t bytes = estimate_bytes(spec);
+void AdmissionController::release(std::size_t bytes) {
   inflight_bytes_ = inflight_bytes_ >= bytes ? inflight_bytes_ - bytes : 0;
 }
 

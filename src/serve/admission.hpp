@@ -40,18 +40,20 @@ class AdmissionController {
 
   const AdmissionConfig& config() const { return config_; }
 
-  /// Working-set estimate for a spec (see file comment). Monotone in the
-  /// particle count; deterministic so tests can reason about budgets.
+  /// Working-set estimate for a spec (see file comment) by the particle
+  /// count of job_scenario(spec), or of the legacy `cells` when the text
+  /// does not parse. Monotone in the particle count; deterministic so tests
+  /// can reason about budgets. Parses, so call it once per submit.
   static std::size_t estimate_bytes(const JobSpec& spec);
 
-  /// Decide on a submit given the current queue depth. Does NOT reserve.
-  Decision decide(const JobSpec& spec, std::size_t queue_depth) const;
+  /// Decide on a submit of `bytes` given the queue depth. Does NOT reserve.
+  Decision decide(std::size_t bytes, std::size_t queue_depth) const;
 
   /// Reserve / release the estimated bytes of an admitted job. Release is
   /// called once the job reaches a terminal state (completed, failed,
   /// cancelled or shed).
-  void acquire(const JobSpec& spec);
-  void release(const JobSpec& spec);
+  void acquire(std::size_t bytes);
+  void release(std::size_t bytes);
 
   std::size_t inflight_bytes() const { return inflight_bytes_; }
 

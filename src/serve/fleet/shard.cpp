@@ -5,6 +5,7 @@
 #include <csignal>
 #include <map>
 
+#include "core/checkpoint.hpp"
 #include "obs/logger.hpp"
 #include "serve/fleet/wire.hpp"
 #include "serve/service.hpp"
@@ -89,51 +90,65 @@ int shard_main(const ShardConfig& config) {
         service.stop();
         return 0;
       }
-      switch (frame->type) {
-        case MsgType::kSubmit: {
-          std::uint64_t id = 0;
-          JobSpec spec;
-          decode_submit(*frame, id, spec);
-          if (draining) {
-            send_frame(fd, MsgType::kRejected,
-                       encode_reject(id, "Overloaded: shard draining"));
+      // An undecodable frame fails its own job (a submit whose id was
+      // read), never the shard and the jobs it runs.
+      std::uint64_t id = 0;
+      try {
+        switch (frame->type) {
+          case MsgType::kSubmit: {
+            JobSpec spec;
+            decode_submit(*frame, id, spec);
+            if (draining) {
+              send_frame(fd, MsgType::kRejected,
+                         encode_reject(id, "Overloaded: shard draining"));
+              break;
+            }
+            JobHandle handle = service.submit(spec);
+            if (handle.done() && handle.state() == JobState::kRejected) {
+              send_frame(fd, MsgType::kRejected,
+                         encode_reject(id, handle.wait().error));
+              break;
+            }
+            send_frame(fd, MsgType::kAccepted, encode_id(id));
+            inflight.emplace(id, InFlight{handle, 0});
             break;
           }
-          JobHandle handle = service.submit(spec);
-          if (handle.done() && handle.state() == JobState::kRejected) {
-            send_frame(fd, MsgType::kRejected,
-                       encode_reject(id, handle.wait().error));
+          case MsgType::kCancel: {
+            const auto it = inflight.find(decode_id(*frame));
+            if (it != inflight.end()) it->second.handle.cancel();
             break;
           }
-          send_frame(fd, MsgType::kAccepted, encode_id(id));
-          inflight.emplace(id, InFlight{handle, 0});
-          break;
+          case MsgType::kPing: {
+            ShardStats stats;
+            stats.seq = decode_id(*frame);
+            stats.running = service.running_jobs();
+            stats.queued = static_cast<std::int32_t>(service.queue_depth());
+            stats.completed = completed;
+            send_frame(fd, MsgType::kPong, encode_pong(stats));
+            break;
+          }
+          case MsgType::kDrain:
+            g_drain = 1;
+            break;
+          case MsgType::kShutdown:
+            service.stop();
+            pump();  // flush the cancelled results before going away
+            return 0;
+          default:
+            MDM_LOG_WARN("fleet shard %d: unexpected frame '%s'",
+                         config.shard_index, to_string(frame->type));
+            break;
         }
-        case MsgType::kCancel: {
-          const auto it = inflight.find(decode_id(*frame));
-          if (it != inflight.end()) it->second.handle.cancel();
-          break;
+      } catch (const CheckpointError& e) {
+        MDM_LOG_WARN("fleet shard %d: undecodable %s frame: %s",
+                     config.shard_index, to_string(frame->type), e.what());
+        if (frame->type == MsgType::kSubmit &&
+            frame->payload.size() >= sizeof id) {
+          JobResult failed;
+          failed.state = JobState::kFailed;
+          failed.error = e.what();
+          send_frame(fd, MsgType::kDone, encode_done(id, failed));
         }
-        case MsgType::kPing: {
-          ShardStats stats;
-          stats.seq = decode_id(*frame);
-          stats.running = service.running_jobs();
-          stats.queued = static_cast<std::int32_t>(service.queue_depth());
-          stats.completed = completed;
-          send_frame(fd, MsgType::kPong, encode_pong(stats));
-          break;
-        }
-        case MsgType::kDrain:
-          g_drain = 1;
-          break;
-        case MsgType::kShutdown:
-          service.stop();
-          pump();  // flush the cancelled results before going away
-          return 0;
-        default:
-          MDM_LOG_WARN("fleet shard %d: unexpected frame '%s'",
-                       config.shard_index, to_string(frame->type));
-          break;
       }
     }
     pump();

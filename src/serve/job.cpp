@@ -9,22 +9,6 @@
 #include "scenario/parser.hpp"
 
 namespace mdm::serve {
-namespace {
-
-void append_kv(std::string& out, const char* key, const std::string& value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += ';';
-}
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 scenario::ScenarioSpec job_scenario(const JobSpec& spec) {
   if (!spec.scenario.empty())
@@ -37,29 +21,27 @@ scenario::ScenarioSpec job_scenario(const JobSpec& spec) {
   return sc;
 }
 
+scenario::Machine job_machine(const JobSpec& spec) {
+  return {spec.backend,  spec.parallel_real,   spec.parallel_wn,
+          spec.solver,   spec.accuracy_target, spec.pme_grid,
+          spec.pme_order};
+}
+
 std::string canonical_job_key(const JobSpec& spec) {
   // The workload's canonical scenario text (fixed section/key order, %.17g
   // doubles), so comment/whitespace/ordering differences canonicalise away
   // and a legacy job equals the same physics written as scenario text. An
   // unparsable text falls back to the raw string, which still separates
-  // distinct inputs. Then the machine fields. Tenant / class / deadline /
-  // checkpoint and analysis placement are excluded: they change where and
-  // when a job runs, never what it computes.
-  std::string key;
+  // distinct inputs. Tenant / class / deadline / checkpoint and analysis
+  // placement are excluded: they change where and when a job runs, never
+  // what it computes.
+  std::string text;
   try {
-    key = job_scenario(spec).canonical_text();
+    text = job_scenario(spec).canonical_text();
   } catch (const scenario::ScenarioError&) {
-    key = spec.scenario;
+    text = spec.scenario;
   }
-  key += "\n[machine]\n";
-  append_kv(key, "backend", to_string(spec.backend));
-  append_kv(key, "preal", std::to_string(spec.parallel_real));
-  append_kv(key, "pwn", std::to_string(spec.parallel_wn));
-  append_kv(key, "solver", spec.solver);
-  append_kv(key, "acc", format_double(spec.accuracy_target));
-  append_kv(key, "pmegrid", std::to_string(spec.pme_grid));
-  append_kv(key, "pmeorder", std::to_string(spec.pme_order));
-  return key;
+  return scenario::run_key(text, job_machine(spec));
 }
 
 std::uint64_t canonical_job_hash(const JobSpec& spec) {

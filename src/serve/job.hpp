@@ -34,7 +34,7 @@
 #include "core/lattice.hpp"
 #include "core/simulation.hpp"
 #include "obs/trace_context.hpp"
-#include "scenario/spec.hpp"
+#include "scenario/engine.hpp"
 #include "util/vec3.hpp"
 
 namespace mdm::serve {
@@ -92,19 +92,19 @@ struct JobSpec {
   double dt_fs = 2.0;             ///< paper: 2 fs
   std::uint64_t seed = 1;         ///< Maxwell velocity seed
 
-  // ---- backend ----
-  /// > 0 runs a legacy (non-scenario) job on the full MDM parallel
-  /// application (MdmParallelApp: this many real-space ranks plus
-  /// parallel_wn wavenumber ranks on the virtual MPI world) instead of the
-  /// single-process scenario engine. The job's trace context flows into
-  /// every rank thread, so one served job is one trace across submit,
-  /// queue, per-rank run phases and checkpoints.
+  // ---- machine (job_machine) ----
+  /// > 0 runs the job, legacy or scenario, on the full MDM parallel
+  /// application (this many real-space ranks plus parallel_wn wavenumber
+  /// ranks on the virtual MPI world); a spec it cannot run fails, named.
+  /// The job's trace context flows into every rank thread, so one served
+  /// job is one trace across submit, queue, per-rank run phases and
+  /// checkpoints.
   int parallel_real = 0;
   int parallel_wn = 2;
-  /// K-space solver of the parallel path: "sf" (exact structure-factor
-  /// sum), "pme" (slab-decomposed particle-mesh, DESIGN.md §12) or "auto"
-  /// (the perf model picks the cheaper admissible one at `accuracy_target`
-  /// RMS force error). Ignored on the single-process path.
+  /// K-space solver of a parallel job: "sf" (exact structure-factor sum),
+  /// "pme" (slab-decomposed particle-mesh, DESIGN.md §12) or "auto" (the
+  /// perf model picks the cheaper admissible one at `accuracy_target` RMS
+  /// force error). Single-process jobs use the spec's Ewald sum.
   std::string solver = "sf";
   double accuracy_target = 5e-4;
   /// PME mesh (solver "pme"/"auto"): points per axis (0 = size from the
@@ -117,10 +117,10 @@ struct JobSpec {
   Backend backend = Backend::kEmulator;
 
   // ---- checkpoint / resume (core/checkpoint, DESIGN.md §8) ----
-  /// Steps between rotating checkpoint generations; 0 disables. On the
-  /// single-process path every generation is a pair: the checkpoint plus a
-  /// job-resume manifest carrying the sample prefix (core/manifest,
-  /// DESIGN.md §13), so a resumed job returns its complete trajectory.
+  /// Steps between rotating checkpoint generations; 0 disables. Every
+  /// generation is a pair: the checkpoint plus a job-resume manifest
+  /// carrying the sample prefix (core/manifest, DESIGN.md §13), so a
+  /// resumed job returns its complete trajectory.
   int checkpoint_interval = 0;
   /// Explicit per-job checkpoint directory. Empty = `<service
   /// checkpoint_root>/job-<id>`. A resubmitted job pointing at the same
@@ -136,9 +136,12 @@ struct JobSpec {
 /// legacy fields describe. A generated spec is not validated here.
 scenario::ScenarioSpec job_scenario(const JobSpec& spec);
 
-/// Canonical form of what a job computes: job_scenario(spec)'s canonical
-/// text plus the machine fields (backend, ranks, solver, accuracy, PME
-/// grid/order). Two specs with the same key produce bit-identical
+/// The machine the job's fields name.
+scenario::Machine job_machine(const JobSpec& spec);
+
+/// Canonical form of what a job computes: scenario::run_key of
+/// job_scenario(spec) and job_machine(spec), as its manifests are keyed.
+/// Two specs with the same key produce bit-identical
 /// trajectories (given the same per-job thread count, which the
 /// service/fleet fixes globally), and a legacy job has the key of the same
 /// physics written as scenario text. Excludes tenant, class, deadline and
@@ -207,6 +210,10 @@ class Job {
   /// The raw flag, handed to RunOptions::cancel by the scheduler.
   const std::atomic<bool>* cancel_flag() const { return &cancel_; }
 
+  /// Admission's estimate for this job, set once at submit.
+  std::size_t reserved_bytes() const { return reserved_bytes_; }
+  void set_reserved_bytes(std::size_t bytes) { reserved_bytes_ = bytes; }
+
   JobState state() const;
   bool done() const;
   /// Block until terminal and return the result (copies; results outlive
@@ -247,6 +254,7 @@ class Job {
   std::string describe_locked() const;
 
   std::atomic<bool> cancel_{false};
+  std::size_t reserved_bytes_ = 0;
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
   JobState state_ = JobState::kQueued;

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file runner.hpp
-/// Executes one JobSpec. Every job without parallel ranks is one scenario
-/// (serve::job_scenario: its parsed text, or the NaCl melt its legacy
-/// fields describe) run by scenario::run_scenario on the caller-provided
-/// thread-pool slice; jobs with parallel_real > 0 run the full MDM parallel
-/// application. Returns the trajectory.
+/// Executes one JobSpec: one scenario (serve::job_scenario: its parsed
+/// text, or the NaCl melt its legacy fields describe) run by
+/// scenario::run_scenario on serve::job_machine(spec) — one process on the
+/// caller-provided thread-pool slice, or the full MDM parallel application
+/// when parallel_real > 0. Returns the trajectory.
 ///
 /// This free function is the determinism anchor of the service: the
 /// scheduler workers and the serial reference runs in tests/benches call the
@@ -16,8 +16,8 @@
 ///
 /// Cancellation is cooperative: `options.cancel` is checked after every
 /// completed step; a cancelled run returns kCancelled with the bit-exact
-/// trajectory prefix and (with checkpointing on) a valid latest checkpoint
-/// generation on disk.
+/// trajectory prefix, completed_steps set to the last step reached, and
+/// (with checkpointing on) a valid latest checkpoint generation on disk.
 
 #include <atomic>
 #include <functional>
@@ -40,13 +40,12 @@ struct RunOptions {
   std::string checkpoint_dir;
   int keep_generations = 3;
   /// Live trajectory streaming: called with every recorded sample, in step
-  /// order, from the running thread (single-process path only; the parallel
-  /// path delivers all samples at completion). Feeds Job::push_stream_sample
-  /// for chunked result polling.
+  /// order, from the running thread (rank 0's in parallel). Feeds
+  /// Job::push_stream_sample for chunked result polling.
   std::function<void(const Sample&)> on_sample;
   /// With checkpointing on: a cooperative cancel writes a pair at the
   /// exact cancel step before unwinding, so a drained shard's jobs resume
-  /// with zero recomputation.
+  /// with zero recomputation (a parallel job: from its last interval pair).
   bool checkpoint_on_cancel = false;
 };
 

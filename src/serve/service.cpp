@@ -94,7 +94,9 @@ JobHandle SimService::submit(const JobSpec& spec) {
     reg().counter("serve.rejected.stopped").add(1);
     return JobHandle(job);
   }
-  const auto decision = admission_.decide(spec, queue_.size());
+  job->set_reserved_bytes(AdmissionController::estimate_bytes(spec));
+  const auto decision =
+      admission_.decide(job->reserved_bytes(), queue_.size());
   if (decision != AdmissionController::Decision::kAdmit) {
     JobResult r;
     r.state = JobState::kRejected;
@@ -110,7 +112,7 @@ JobHandle SimService::submit(const JobSpec& spec) {
                   job->snapshot().error.c_str());
     return JobHandle(job);
   }
-  admission_.acquire(spec);
+  admission_.acquire(job->reserved_bytes());
   queue_.push(job);
   ++unfinished_;
   reg().counter("serve.admitted").add(1);
@@ -175,7 +177,7 @@ void SimService::finalize_locked(Job& job, JobResult result,
       }
     }
   }
-  admission_.release(job.spec());
+  admission_.release(job.reserved_bytes());
   reg().gauge("serve.inflight_bytes").set(double(admission_.inflight_bytes()));
 
   switch (result.state) {

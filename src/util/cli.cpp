@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -115,6 +116,17 @@ std::vector<long long> CommandLine::get_int_list(
     pos = comma + 1;
   }
   return out;
+}
+
+int run_cli(int argc, char** argv, int (*body)(const CommandLine&)) {
+  const CommandLine cli(argc, argv);
+  try {
+    return body(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: usage error: %s\n", cli.program().c_str(),
+                 e.what());
+    return 2;
+  }
 }
 
 void apply_observability_cli(const CommandLine& cli) {

@@ -49,6 +49,10 @@ class CommandLine {
   std::vector<std::string> positional_;
 };
 
+/// An example binary's main: `body` on the command line, with a malformed
+/// value (get_int/get_double's std::invalid_argument) a usage line + exit 2.
+int run_cli(int argc, char** argv, int (*body)(const CommandLine&));
+
 /// Apply the shared observability switches:
 ///   --log-level debug|info|warn|error|off  (obs::Logger threshold)
 ///   --trace / --trace=0                    (runtime span recording)

@@ -845,6 +845,19 @@ void expect_bitwise_equal(const host::ParallelRunResult& a,
   }
 }
 
+/// The complete trajectory: an in-run recovery keeps the failed attempt's
+/// samples through the restored step, so nothing is missing or repeated.
+void expect_same_samples(const host::ParallelRunResult& a,
+                         const host::ParallelRunResult& b) {
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < b.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].step, b.samples[i].step) << i;
+    EXPECT_EQ(a.samples[i].temperature_K, b.samples[i].temperature_K) << i;
+    EXPECT_EQ(a.samples[i].potential_eV, b.samples[i].potential_eV) << i;
+    EXPECT_EQ(a.samples[i].total_eV, b.samples[i].total_eV) << i;
+  }
+}
+
 TEST_F(CheckpointTest, ParallelKillAndAutoRecoverIsBitIdentical) {
   const auto sys = initial_state(2, 7);
   const auto cfg = app_config(sys, 4, 2, 2, 3);
@@ -872,12 +885,13 @@ TEST_F(CheckpointTest, ParallelKillAndAutoRecoverIsBitIdentical) {
   EXPECT_EQ(recovered.restored_from_step, 2u);
   EXPECT_GT(counter("ckpt.restores"), restores);
   expect_bitwise_equal(recovered, baseline);
+  expect_same_samples(recovered, baseline);
 
   // --restore PATH: resuming a *fresh* app from an on-disk generation also
   // reproduces the uninterrupted run.
   CheckpointManager mgr(path("recover"));
   auto resume_cfg = cfg;
-  resume_cfg.restore_path = mgr.path_for_step(2);
+  resume_cfg.restore = read_checkpoint_file(mgr.path_for_step(2));
   host::MdmParallelApp resume_app(resume_cfg);
   const auto resumed = resume_app.run(sys);
   EXPECT_EQ(resumed.recoveries, 0);
@@ -948,6 +962,7 @@ TEST_F(CheckpointTest, Acceptance24RankKillResumeIsBitIdentical) {
   EXPECT_EQ(recovered.recoveries, 1);
   EXPECT_EQ(recovered.restored_from_step, 2u);
   expect_bitwise_equal(recovered, baseline);
+  expect_same_samples(recovered, baseline);
 }
 
 }  // namespace

@@ -396,14 +396,16 @@ TEST_F(DistributedPmeRecovery, KspaceRankDeathMidFftAutoRecoversBitIdentical) {
     EXPECT_EQ(recovered.velocities[i].y, baseline.velocities[i].y) << i;
     EXPECT_EQ(recovered.velocities[i].z, baseline.velocities[i].z) << i;
   }
-  // A resumed epoch records samples only from the restored step onward, so
-  // the recovered run has fewer of them; the final sample (both trajectories
-  // end at the same step) must still match bit-for-bit.
-  ASSERT_FALSE(recovered.samples.empty());
-  ASSERT_FALSE(baseline.samples.empty());
-  EXPECT_EQ(recovered.samples.back().step, baseline.samples.back().step);
-  EXPECT_EQ(recovered.samples.back().potential_eV,
-            baseline.samples.back().potential_eV);
+  // The complete trajectory: the failed attempt's samples through the
+  // restored step, then the resumed epoch's, each bit-identical.
+  ASSERT_EQ(recovered.samples.size(), baseline.samples.size());
+  for (std::size_t i = 0; i < baseline.samples.size(); ++i) {
+    EXPECT_EQ(recovered.samples[i].step, baseline.samples[i].step) << i;
+    EXPECT_EQ(recovered.samples[i].potential_eV,
+              baseline.samples[i].potential_eV) << i;
+    EXPECT_EQ(recovered.samples[i].total_eV, baseline.samples[i].total_eV)
+        << i;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 /// bit-identical results vs standalone runs, streamed chunked result
 /// polling, the deterministic result cache (hits + in-flight coalescing),
 /// kill -9 failover with checkpoint-manifest resume for every job kind
-/// (zero lost jobs, complete trajectories), strict submit-frame decoding,
+/// (zero lost jobs, complete trajectories), strict submit-frame decoding
+/// (a malformed frame fails its job, not the shard),
 /// SIGTERM graceful drain (exit 0 + rerouting), and bounded Overloaded
 /// retry with backoff.
 ///
@@ -332,15 +333,25 @@ temperature_K = 120.0
 // Failover: kill -9 mid-run loses zero jobs, results stay bit-identical.
 // ---------------------------------------------------------------------------
 
-/// Every job kind fails over the same way: the legacy melt, and each
-/// bundled spec (the param names its file) shortened to cells = 2 and 45
-/// steps. Each checkpoints every 5 steps.
+/// Every job kind fails over the same way: the legacy melt, the legacy melt
+/// on the parallel machine (emulator structure factors at R2xW2, native PME
+/// at R1xW2, whose 32^3 recommended mesh the two k-space ranks divide), and
+/// each bundled spec (the param names its file) shortened to cells = 2 and
+/// 45 steps. Each checkpoints every 5 steps.
 class FleetKillTest : public FleetTest,
                       public ::testing::WithParamInterface<std::string> {
  protected:
   JobSpec kill_spec() const {
     JobSpec spec = long_spec();
-    if (GetParam() != "legacy") {
+    if (GetParam() == "parallel_sf") {
+      spec.parallel_real = 2;
+      spec.parallel_wn = 2;
+    } else if (GetParam() == "parallel_pme") {
+      spec.parallel_real = 1;
+      spec.parallel_wn = 2;
+      spec.solver = "pme";
+      spec.backend = Backend::kNative;
+    } else if (GetParam() != "legacy") {
       scenario::ScenarioSpec sc = scenario::parse_scenario_file(
           std::string(MDM_SCENARIO_DIR) + "/" + GetParam() + ".toml");
       if (sc.system.kind == scenario::SystemKind::kLattice)
@@ -407,8 +418,10 @@ TEST_P(FleetKillTest, ShardKillMigratesJobWithCheckpointResume) {
 }
 
 INSTANTIATE_TEST_SUITE_P(JobKinds, FleetKillTest,
-                         ::testing::Values("legacy", "nacl_melt", "kcl_melt",
-                                           "lj_binary", "nacl_npt"),
+                         ::testing::Values("legacy", "parallel_sf",
+                                           "parallel_pme", "nacl_melt",
+                                           "kcl_melt", "lj_binary",
+                                           "nacl_npt"),
                          [](const auto& param) { return param.param; });
 
 // ---------------------------------------------------------------------------
@@ -461,6 +474,27 @@ TEST(FleetWire, SubmitRejectsOutOfRangeClassAndBackend) {
                 decoded);
   EXPECT_EQ(id, 7u);
   EXPECT_EQ(decoded.backend, Backend::kNative);
+}
+
+/// A submit frame that fails to decode (class 7 is outside 0..2) fails its
+/// own job, naming the field; the shard that read it keeps serving.
+TEST_F(FleetTest, UndecodableSubmitFailsTheJobNotTheShard) {
+  Router router(fleet_config(1, 1));
+  router.start();
+  const pid_t pid = router.shard_pid(0);
+
+  JobSpec corrupt = small_spec();
+  corrupt.job_class = static_cast<JobClass>(7);
+  const JobResult failed = router.submit(corrupt).wait();
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_NE(failed.error.find("class"), std::string::npos) << failed.error;
+  EXPECT_EQ(router.shard_pid(0), pid);
+
+  JobSpec next = small_spec();
+  next.seed = 12;
+  EXPECT_EQ(router.submit(next).wait().state, JobState::kCompleted);
+  EXPECT_EQ(router.shard_pid(0), pid);
+  EXPECT_EQ(router.alive_shards(), 1);
 }
 
 // ---------------------------------------------------------------------------

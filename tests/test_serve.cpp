@@ -3,8 +3,9 @@
 /// (priority class / per-tenant fair share / deadline ordering), admission
 /// control, end-to-end serving with bit-identical results vs standalone
 /// runs, cooperative cancellation (valid checkpoints, bit-exact trajectory
-/// prefix), resume-after-preempt, and a 100-job soak proving no completion
-/// is ever lost or duplicated.
+/// prefix), resume-after-preempt, parallel jobs as scenarios on the MDM
+/// machine (manifest pairs, resume, cancel prefix, named rejections), and a
+/// 100-job soak proving no completion is ever lost or duplicated.
 
 #include "serve/service.hpp"
 
@@ -19,6 +20,9 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "host/mdm_force_field.hpp"
+#include "host/parallel_app.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/parser.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
@@ -201,9 +205,9 @@ TEST(Admission, QueueDepthCapRejects) {
   AdmissionConfig config;
   config.max_queue_depth = 2;
   AdmissionController admission(config);
-  const JobSpec spec;
-  EXPECT_EQ(admission.decide(spec, 1), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.decide(spec, 2),
+  const std::size_t bytes = AdmissionController::estimate_bytes(JobSpec{});
+  EXPECT_EQ(admission.decide(bytes, 1), AdmissionController::Decision::kAdmit);
+  EXPECT_EQ(admission.decide(bytes, 2),
             AdmissionController::Decision::kQueueFull);
   EXPECT_NE(AdmissionController::reason(
                 AdmissionController::Decision::kQueueFull)
@@ -217,14 +221,14 @@ TEST(Admission, MemoryBudgetRejectsUntilReleased) {
   const std::size_t one = AdmissionController::estimate_bytes(spec);
   AdmissionController admission(
       {.max_queue_depth = 64, .max_inflight_bytes = one + one / 2});
-  EXPECT_EQ(admission.decide(spec, 0), AdmissionController::Decision::kAdmit);
-  admission.acquire(spec);
+  EXPECT_EQ(admission.decide(one, 0), AdmissionController::Decision::kAdmit);
+  admission.acquire(one);
   EXPECT_EQ(admission.inflight_bytes(), one);
-  EXPECT_EQ(admission.decide(spec, 0),
+  EXPECT_EQ(admission.decide(one, 0),
             AdmissionController::Decision::kMemoryBudget);
-  admission.release(spec);
+  admission.release(one);
   EXPECT_EQ(admission.inflight_bytes(), 0u);
-  EXPECT_EQ(admission.decide(spec, 0), AdmissionController::Decision::kAdmit);
+  EXPECT_EQ(admission.decide(one, 0), AdmissionController::Decision::kAdmit);
 }
 
 TEST(Admission, EstimateBytesMonotoneInParticleCount) {
@@ -790,6 +794,141 @@ TEST_F(ServeTest, HostileTenantNameStaysValidJson) {
   // The raw quote/backslash/newline must never reach the dump unescaped.
   EXPECT_NE(json.find("evil\\\"tenant\\\\name\\n"), std::string::npos);
   EXPECT_EQ(json.find("evil\"tenant"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One job runner for both machines: parallel jobs are scenarios on
+// MdmParallelApp, with the serial engine's pairs, resume, streaming and
+// cancel path.
+// ---------------------------------------------------------------------------
+
+/// Admission charges a job for the particles its scenario builds, not for
+/// the legacy cells field it leaves at 1.
+TEST_F(ServeTest, AdmissionSizesAJobByItsScenario) {
+  JobSpec legacy;  // cells = 1: 8 ions
+  JobSpec lj;      // 384 + 128 particles by random placement
+  lj.scenario = bundled("lj_binary.toml", 2, 2).canonical_text();
+  ServiceConfig config = service_config(1);
+  config.admission.max_inflight_bytes =
+      AdmissionController::estimate_bytes(legacy);
+  SimService service(config);  // not started: an admitted job stays queued
+
+  const JobResult rejected = service.submit(lj).wait();
+  EXPECT_EQ(rejected.state, JobState::kRejected);
+  EXPECT_NE(rejected.error.find("memory budget"), std::string::npos)
+      << rejected.error;
+  EXPECT_EQ(service.submit(legacy).state(), JobState::kQueued);
+}
+
+JobSpec on_machine(JobSpec spec, int real, int wn) {
+  spec.parallel_real = real;
+  spec.parallel_wn = wn;
+  return spec;
+}
+
+TEST_F(ServeTest, ParallelScenarioJobEqualsADirectAppRun) {
+  const scenario::ScenarioSpec sc = bundled("kcl_melt.toml", 3, 3);
+  JobSpec job;
+  job.scenario = sc.canonical_text();
+  const JobResult served = run_job(on_machine(job, 2, 2));
+  ASSERT_EQ(served.state, JobState::kCompleted);
+  EXPECT_EQ(served.completed_steps, 6);
+
+  const ParticleSystem system = scenario::build_system(sc);
+  host::ParallelAppConfig config;
+  config.real_processes = 2;
+  config.wn_processes = 2;
+  config.protocol = scenario::build_protocol(sc);
+  config.ewald = host::mdm_parameters(double(system.size()), system.box());
+  config.tosi_fumi = TosiFumiParameters::kcl();
+  const host::ParallelRunResult direct =
+      host::MdmParallelApp(config).run(system);
+  ASSERT_EQ(served.samples.size(), direct.samples.size());
+  for (std::size_t i = 0; i < direct.samples.size(); ++i)
+    expect_samples_equal(served.samples[i], direct.samples[i]);
+  expect_vecs_equal(served.positions, direct.positions);
+  expect_vecs_equal(served.velocities, direct.velocities);
+}
+
+TEST_F(ServeTest, ParallelMachineFailsSpecsItCannotRun) {
+  SimService service(service_config(1));
+  service.start();
+  for (const auto& [file, reason] :
+       {std::pair{"lj_binary.toml", "lattice"}, std::pair{"nacl_npt.toml",
+                                                          "npt"}}) {
+    SCOPED_TRACE(file);
+    JobSpec job;
+    job.scenario = bundled(file, 2, 2).canonical_text();
+    const JobResult result = service.submit(on_machine(job, 2, 2)).wait();
+    EXPECT_EQ(result.state, JobState::kFailed);
+    EXPECT_NE(result.error.find(reason), std::string::npos) << result.error;
+    EXPECT_TRUE(result.samples.empty());
+  }
+}
+
+/// A cancel observed after step 13 stops the ranks there: the result is the
+/// bit-exact 14-sample prefix, streamed as it was recorded. The resubmitted
+/// job resumes from the step-10 interval pair and returns the complete
+/// trajectory.
+TEST_F(ServeTest, ParallelJobCancelsWithItsPrefixAndResumesComplete) {
+  for (const Backend backend : {Backend::kEmulator, Backend::kNative}) {
+    SCOPED_TRACE(to_string(backend));
+    JobSpec spec = on_machine(small_spec(), 2, 2);
+    spec.nvt_steps = 20;
+    spec.nve_steps = 10;
+    spec.backend = backend;
+    const JobResult reference = run_job(spec);
+    ASSERT_EQ(reference.state, JobState::kCompleted);
+    ASSERT_EQ(reference.completed_steps, 30);
+    ASSERT_EQ(reference.samples.size(), 31u);
+
+    spec.checkpoint_interval = 5;
+    RunOptions options;
+    options.checkpoint_dir = path(to_string(backend));
+    std::atomic<bool> cancel{false};
+    options.cancel = &cancel;
+    std::vector<Sample> streamed;
+    int cancel_step = 13;
+    options.on_sample = [&](const Sample& s) {
+      streamed.push_back(s);
+      if (s.step == cancel_step) cancel.store(true);
+    };
+    const JobResult first = run_job(spec, options);
+    ASSERT_EQ(first.state, JobState::kCancelled);
+    EXPECT_EQ(first.completed_steps, 13);
+    ASSERT_EQ(first.samples.size(), 14u);
+    ASSERT_EQ(streamed.size(), 14u);
+    for (std::size_t i = 0; i < first.samples.size(); ++i) {
+      expect_samples_equal(first.samples[i], reference.samples[i]);
+      expect_samples_equal(streamed[i], reference.samples[i]);
+    }
+
+    cancel.store(false);
+    cancel_step = -1;
+    streamed.clear();
+    const JobResult resumed = run_job(spec, options);
+    ASSERT_EQ(resumed.state, JobState::kCompleted);
+    EXPECT_EQ(resumed.resumed_from_step, 10u);
+    EXPECT_EQ(resumed.completed_steps, 30);
+    expect_results_equal(resumed, reference);
+    ASSERT_EQ(streamed.size(), reference.samples.size());
+  }
+}
+
+/// Serial and parallel pairs of the same physics carry different manifest
+/// keys, so neither resumes the other's directory.
+TEST_F(ServeTest, SerialAndParallelPairsNeverResumeEachOther) {
+  JobSpec serial = small_spec();
+  serial.checkpoint_interval = 2;
+  RunOptions options;
+  options.checkpoint_dir = path("shared");
+  ASSERT_EQ(run_job(serial, options).state, JobState::kCompleted);
+
+  const JobSpec parallel = on_machine(serial, 2, 2);
+  EXPECT_NE(canonical_job_key(serial), canonical_job_key(parallel));
+  const JobResult result = run_job(parallel, options);
+  ASSERT_EQ(result.state, JobState::kCompleted);
+  EXPECT_EQ(result.resumed_from_step, 0u);
 }
 
 }  // namespace
